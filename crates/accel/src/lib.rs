@@ -23,8 +23,71 @@
 //! block, discharged by the `is_x86_feature_detected!` guard in front
 //! of it. Non-`x86_64` builds (and pre-FMA CPUs) return `false` and
 //! the caller keeps its generic loop.
+//!
+//! The same reason puts the workspace's one [`CountingAllocator`] here:
+//! a `GlobalAlloc` impl is `unsafe` by definition. See its docs for
+//! where it is installed.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Global allocator that counts every allocation and reallocation
+/// before forwarding to [`System`]. Frees are not counted: the
+/// contract it checks is "no hidden allocation", and a free without a
+/// matching allocation is impossible.
+///
+/// The counter is process-wide, so it sees allocations made on any
+/// thread, executor pool workers included. A zero-allocation gate
+/// built on it is only sound when nothing else runs in the process
+/// during its window, which is why each gate is the only test in its
+/// test binary.
+///
+/// This crate never installs it, since that would install it in every
+/// binary that links matlib. A binary opts in by declaring a
+/// `static GLOBAL: CountingAllocator` marked as the global allocator,
+/// as the `dse` binary (for `bench-serve`) and the two allocation-gate
+/// test files do; the rest, `soc-perf` included, keep the plain system
+/// allocator.
+pub struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// atomic add with no effect on the returned memory.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `alloc` contract is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations and reallocations made so far through
+/// [`CountingAllocator`] in this process; stays 0 when it is not the
+/// global allocator.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {

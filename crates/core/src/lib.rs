@@ -51,6 +51,5 @@ pub mod energy;
 pub mod experiments;
 pub mod platform;
 pub mod report;
-pub mod rng;
 pub mod verify;
 pub mod workloads;

@@ -1,7 +1,7 @@
 //! Workload generators: random kernel sizes for the heatmap sweeps and
 //! reference trajectories for closed-loop examples.
 
-use crate::rng::SplitMix64;
+use matlib::rng::SplitMix64;
 use matlib::{Scalar, Vector};
 
 /// The matrix-height (I) axis used by the paper's heatmap figures.

@@ -21,12 +21,12 @@ use crate::deadline::{DeadlineConfig, DeadlineSolver, DegradeRung};
 use crate::inject::{DataInjector, FaultyExecutor, TraceFaultOutcome};
 use crate::plan::{Fault, FaultKind, FaultPlan, FaultSite};
 use crate::riscv::{run_instruction_campaign, InstructionStats};
+use matlib::rng::SplitMix64;
 use matlib::Vector;
 use soc_backend::{pipeline_for, FaultSurface, PipelineExecutor};
 use soc_dse::experiments::Scenario;
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
-use soc_dse::rng::SplitMix64;
 use tinympc::{AdmmSolver, NullExecutor, SolverSettings, TerminationCause};
 
 /// Campaign size.

@@ -25,7 +25,7 @@
 //!   serving platform set, plus the square-pulse [`BurstModel`].
 //! * [`report`] — commutative atomic [`CycleHistogram`]s and the
 //!   deterministic report body.
-//! * [`bench`] — [`run_bench`]: the `dse bench-serve` engine.
+//! * [`bench`](mod@bench) — [`run_bench`]: the `dse bench-serve` engine.
 //!
 //! ## Determinism contract
 //!
@@ -41,10 +41,10 @@
 //! After a two-tick warm-up, the steady-state tick loop performs zero
 //! heap allocations: references stream into the arena workspace via
 //! `knot_mut`, solves run through
-//! [`DeadlineSolver::solve_in_place_at_rung`], plant updates use
+//! [`soc_faults::DeadlineSolver::solve_in_place_at_rung`], plant updates use
 //! `gemv_into`/`add_into` scratch, and metrics land in atomics.
-//! `crates/serve/tests/serve_alloc.rs` enforces this with a counting
-//! global allocator.
+//! `crates/serve/tests/alloc_gate.rs` enforces this with the counting
+//! global allocator from `matlib-accel`.
 //!
 //! [`DeadlineSolver`]: soc_faults::DeadlineSolver
 //! [`DegradeRung`]: soc_faults::DegradeRung

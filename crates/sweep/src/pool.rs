@@ -18,7 +18,7 @@
 //! signal in [`ShardStats`].
 //!
 //! The claim/retry/watchdog discipline lives in one place
-//! ([`drain_batch`], driven through the [`BatchJob`] trait) and is
+//! (`drain_batch`, driven through the [`BatchJob`] trait) and is
 //! shared by two front ends:
 //!
 //! * [`run_sharded`] / [`run_sharded_isolated`] — the historical
@@ -387,7 +387,7 @@ fn tick_lock(shared: &TickShared) -> std::sync::MutexGuard<'_, TickState> {
 /// batches — the shape a session runtime needs when it submits the same
 /// batch object once per control tick, thousands of times. Each
 /// [`submit`](TickExecutor::submit) runs the identical
-/// [`drain_batch`] loop as the one-shot pool (same panic isolation,
+/// `drain_batch` loop as the one-shot pool (same panic isolation,
 /// same bounded retries, same watchdog), and performs **zero heap
 /// allocations**: the job is passed by `Arc` reference, the claim
 /// counter and stats accumulator are reused, and per-shard records are

@@ -414,12 +414,16 @@ impl<T: Scalar> AdmmSolver<T> {
     /// The applied control is readable afterwards via
     /// [`AdmmSolver::u0`]; the per-kernel cycle table via
     /// [`AdmmSolver::last_kernel_cycles`]. The allocating
-    /// [`AdmmSolver::solve`] wraps this entry point and packages both
-    /// into a [`crate::SolveResult`].
+    /// [`AdmmSolver::solve_observed`] wraps this entry point and
+    /// packages both into a [`crate::SolveResult`].
     ///
     /// # Errors
     ///
-    /// Same contract as [`AdmmSolver::solve`].
+    /// Returns [`crate::Error::BadProblem`] if `x0` has the wrong
+    /// dimension, [`crate::Error::InvalidTrace`] if the executor rejects a
+    /// kernel trace, [`crate::Error::CorruptedWorkspace`] if the pinned
+    /// initial state changed mid-solve, and numeric errors (including
+    /// [`matlib::Error::NonFinite`]) for corrupted or inconsistent data.
     pub fn solve_in_place(
         &mut self,
         x0: &[T],
@@ -433,7 +437,7 @@ impl<T: Scalar> AdmmSolver<T> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`AdmmSolver::solve`].
+    /// Same contract as [`solve_in_place`](Self::solve_in_place).
     pub fn solve_in_place_observed(
         &mut self,
         x0: &[T],

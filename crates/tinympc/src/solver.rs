@@ -73,7 +73,7 @@ impl std::fmt::Display for TerminationCause {
 /// Plain `Copy` data: the applied control stays staged in the solver's
 /// arena ([`AdmmSolver::u0`]) and the per-kernel cycle table in
 /// [`AdmmSolver::last_kernel_cycles`]. The allocating
-/// [`AdmmSolver::solve`] packages all three into a [`SolveResult`].
+/// [`AdmmSolver::solve_observed`] packages all three into a [`SolveResult`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStatus {
     /// Whether all residuals fell below tolerance.
@@ -127,7 +127,8 @@ pub trait SolveObserver<T> {
     );
 }
 
-/// An observer that does nothing (the default for [`AdmmSolver::solve`]).
+/// An observer that does nothing (what [`AdmmSolver::solve_in_place`]
+/// passes to [`AdmmSolver::solve_in_place_observed`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
@@ -286,36 +287,14 @@ impl<T: Scalar> AdmmSolver<T> {
         Ok(())
     }
 
-    /// Solves the MPC problem from initial state `x0`, charging simulated
-    /// cycles to `executor`.
+    /// Runs [`solve_in_place_observed`](Self::solve_in_place_observed)
+    /// and packages the staged control and per-kernel cycle table into
+    /// an allocated [`SolveResult`] (report edges, tests, fault
+    /// campaigns; the hot path reads the arena instead).
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::BadProblem`] if `x0` has the wrong
-    /// dimension, [`crate::Error::InvalidTrace`] if the executor rejects a
-    /// kernel trace, [`crate::Error::CorruptedWorkspace`] if the pinned
-    /// initial state changed mid-solve, and numeric errors (including
-    /// [`matlib::Error::NonFinite`]) for corrupted or inconsistent data.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh SolveResult per call; use `solve_in_place` \
-                (read `u0()` / `last_kernel_cycles()` from the arena) or \
-                `solve_observed` when the packaged result is required"
-    )]
-    pub fn solve(
-        &mut self,
-        x0: &Vector<T>,
-        executor: &mut dyn KernelExecutor,
-    ) -> Result<SolveResult<T>> {
-        self.solve_observed(x0, executor, &mut NullObserver)
-    }
-
-    /// [`solve`](Self::solve) with an inter-iteration [`SolveObserver`]
-    /// hook (fault injection, instrumentation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](Self::solve).
+    /// Same as [`solve_in_place`](Self::solve_in_place).
     pub fn solve_observed(
         &mut self,
         x0: &Vector<T>,
@@ -341,19 +320,23 @@ impl<T: Scalar> AdmmSolver<T> {
 }
 
 #[cfg(test)]
-// The deprecated `solve` wrapper stays covered here until it is
-// removed: these tests exercise result packaging on top of the arena
-// hot path.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::{problems, KernelExecutor, NullExecutor};
 
+    /// The packaging path under test: `solve_observed` with no observer.
+    fn solve<T: Scalar>(
+        s: &mut AdmmSolver<T>,
+        x0: &[T],
+        exec: &mut dyn KernelExecutor,
+    ) -> Result<SolveResult<T>> {
+        s.solve_observed(&Vector::from_slice(x0), exec, &mut NullObserver)
+    }
+
     fn solve_di(x0: &[f64]) -> (SolveResult<f64>, AdmmSolver<f64>) {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        let x0 = Vector::from_slice(x0);
-        let r = s.solve(&x0, &mut NullExecutor).unwrap();
+        let r = solve(&mut s, x0, &mut NullExecutor).unwrap();
         (r, s)
     }
 
@@ -384,7 +367,7 @@ mod tests {
         )
         .unwrap();
         let x0 = Vector::from_slice(&[0.1, 0.0]);
-        let r = s.solve(&x0, &mut NullExecutor).unwrap();
+        let r = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         assert!(r.converged);
         let u_lqr = -(k_true[(0, 0)] * x0[0] + k_true[(0, 1)] * x0[1]);
         assert!(
@@ -420,7 +403,7 @@ mod tests {
         let mut x = s.problem().hover_offset_state(0.3);
         let mut worst_iterations = 0;
         for _step in 0..400 {
-            let r = s.solve(&x, &mut NullExecutor).unwrap();
+            let r = solve(&mut s, x.as_slice(), &mut NullExecutor).unwrap();
             worst_iterations = worst_iterations.max(r.iterations);
             let ax = a.matvec(&x).unwrap();
             let bu = b.matvec(&r.u0).unwrap();
@@ -436,10 +419,10 @@ mod tests {
         let p = problems::quadrotor_hover::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = s.problem().hover_offset_state(0.2);
-        let cold = s.solve(&x0, &mut NullExecutor).unwrap();
+        let cold = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         // Slightly perturbed re-solve with warm duals.
         let x1 = s.problem().hover_offset_state(0.19);
-        let warm = s.solve(&x1, &mut NullExecutor).unwrap();
+        let warm = solve(&mut s, x1.as_slice(), &mut NullExecutor).unwrap();
         assert!(
             warm.iterations <= cold.iterations,
             "warm {} vs cold {}",
@@ -454,12 +437,8 @@ mod tests {
         let p32 = problems::double_integrator::<f32>(15).unwrap();
         let mut s64 = AdmmSolver::new(p64, SolverSettings::default()).unwrap();
         let mut s32 = AdmmSolver::new(p32, SolverSettings::default()).unwrap();
-        let r64 = s64
-            .solve(&Vector::from_slice(&[2.0, -0.5]), &mut NullExecutor)
-            .unwrap();
-        let r32 = s32
-            .solve(&Vector::from_slice(&[2.0f32, -0.5]), &mut NullExecutor)
-            .unwrap();
+        let r64 = solve(&mut s64, &[2.0, -0.5], &mut NullExecutor).unwrap();
+        let r32 = solve(&mut s32, &[2.0f32, -0.5], &mut NullExecutor).unwrap();
         assert!(r64.converged && r32.converged);
         assert!(
             (r64.u0[0] - r32.u0[0] as f64).abs() < 1e-3,
@@ -488,9 +467,7 @@ mod tests {
     fn cycle_accounting_is_exact() {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        let r = s
-            .solve(&Vector::from_slice(&[1.0, 0.0]), &mut UnitExecutor)
-            .unwrap();
+        let r = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
         let n = 10;
         let iters = r.iterations as u64;
         // Per iteration: 4 iterative kernels × (N−1) + UpdateLinearCost4
@@ -509,9 +486,7 @@ mod tests {
     fn bad_x0_rejected() {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        assert!(s
-            .solve(&Vector::from_slice(&[1.0]), &mut NullExecutor)
-            .is_err());
+        assert!(solve(&mut s, &[1.0], &mut NullExecutor).is_err());
     }
 
     #[test]
@@ -519,13 +494,13 @@ mod tests {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[0.0, 0.0]);
-        let rest = s.solve(&x0, &mut NullExecutor).unwrap();
+        let rest = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         // Now ask to move to position 1.
         let target = Vector::from_slice(&[1.0, 0.0]);
         let xref: Vec<_> = (0..20).map(|_| target.clone()).collect();
         s.set_reference(&xref).unwrap();
         s.cold_start();
-        let track = s.solve(&x0, &mut NullExecutor).unwrap();
+        let track = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         assert!(
             track.u0[0] > rest.u0[0] + 1e-3,
             "tracking should push forward"
@@ -543,9 +518,7 @@ mod tests {
             ..Default::default()
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
-        let r = s
-            .solve(&Vector::from_slice(&[5.0, 0.0]), &mut NullExecutor)
-            .unwrap();
+        let r = solve(&mut s, &[5.0, 0.0], &mut NullExecutor).unwrap();
         assert_eq!(r.termination, TerminationCause::MaxIterations);
         assert!(!r.converged);
     }
@@ -555,7 +528,7 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[50.0, 0.0]);
-        let full = s.solve(&x0, &mut UnitExecutor).unwrap();
+        let full = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
         assert!(full.iterations > 2, "need a multi-iteration baseline");
 
         // Budget for roughly two iterations: the solve must stop on the
@@ -567,7 +540,7 @@ mod tests {
         };
         let mut s =
             AdmmSolver::new(problems::double_integrator::<f64>(10).unwrap(), settings).unwrap();
-        let r = s.solve(&x0, &mut UnitExecutor).unwrap();
+        let r = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
         assert_eq!(r.termination, TerminationCause::Deadline);
         assert!(r.iterations < full.iterations);
         assert!(r.total_cycles <= budget, "predictive stop overran");
@@ -582,9 +555,7 @@ mod tests {
             ..Default::default()
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
-        let r = s
-            .solve(&Vector::from_slice(&[1.0, 0.0]), &mut UnitExecutor)
-            .unwrap();
+        let r = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
         assert_eq!(r.iterations, 1);
         assert_eq!(r.termination, TerminationCause::Deadline);
         assert!(r.u0.is_finite());
@@ -666,8 +637,6 @@ mod tests {
     fn non_finite_x0_rejected() {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        assert!(s
-            .solve(&Vector::from_slice(&[f64::NAN, 0.0]), &mut NullExecutor)
-            .is_err());
+        assert!(solve(&mut s, &[f64::NAN, 0.0], &mut NullExecutor).is_err());
     }
 }

@@ -12,7 +12,7 @@
 //! memory-fault canary), the staged `u0` result of the last solve, and
 //! four scratch strips used by the in-place ADMM passes, so a warm
 //! solve performs **zero heap allocations** (the contract checked by
-//! `solver_perf --smoke` and the allocation-regression test).
+//! the allocation-regression test, `tests/alloc_regression.rs`).
 //!
 //! This module is tagged `HOT-PATH`: CI forbids `.clone()` and
 //! `Vector::zeros` inside it.

@@ -1,57 +1,27 @@
-//! Allocation regression guard for the solver hot path.
+//! Allocation regression gate for the solver hot path.
 //!
 //! The arena-workspace contract says a *warm* [`AdmmSolver::solve_in_place`]
 //! performs **zero** heap allocations: every iterate, scratch vector and
 //! the staged `u0` live inside the workspace arena, and the per-kernel
-//! cycle table is a fixed-size array. This test installs a counting
-//! global allocator and fails on the first allocation (or reallocation)
-//! that sneaks back into the warm loop.
+//! cycle table is a fixed-size array. This test installs the counting
+//! global allocator from `matlib-accel` and fails on the first
+//! allocation (or reallocation) that sneaks back into the warm loop.
 //!
-//! The lib crate itself is `#![forbid(unsafe_code)]`; the counting
-//! allocator needs `unsafe impl GlobalAlloc`, which is why this guard
-//! lives in an integration test (a separate crate).
+//! The counter is process-wide, so this file holds exactly one
+//! `#[test]`: a sibling test running on another harness thread would
+//! allocate inside the measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use matlib_accel::allocations;
 use tinympc::{problems, AdmmSolver, NullExecutor, SolverDims, SolverSettings};
 
-/// Counts every allocation and reallocation routed through the global
-/// allocator. Frees are not counted — the contract is "no hidden
-/// allocation", and a free without a matching alloc is impossible.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: matlib_accel::CountingAllocator = matlib_accel::CountingAllocator;
 
 /// Runs `f` and returns how many allocations it performed.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (allocations() - before, result)
 }
 
 fn assert_warm_solve_is_allocation_free<const FORCE_DYNAMIC: bool>(name: &str) {
@@ -86,19 +56,7 @@ fn assert_warm_solve_is_allocation_free<const FORCE_DYNAMIC: bool>(name: &str) {
     );
 }
 
-#[test]
-fn warm_solve_in_place_performs_zero_heap_allocations() {
-    // Const-specialized paths.
-    assert_warm_solve_is_allocation_free::<false>("quadrotor_hover");
-    assert_warm_solve_is_allocation_free::<false>("double_integrator");
-    // Dynamic fallback: a shape with no const path, and a const shape
-    // with the fallback forced.
-    assert_warm_solve_is_allocation_free::<false>("random_stable_5x2");
-    assert_warm_solve_is_allocation_free::<true>("quadrotor_hover");
-}
-
-#[test]
-fn warm_solve_with_reference_tracking_stays_allocation_free() {
+fn assert_reference_tracking_is_allocation_free() {
     let problem = problems::quadrotor_hover::<f32>(10).unwrap();
     let nx = problem.dims().nx;
     let mut solver = AdmmSolver::new(problem, SolverSettings::default()).unwrap();
@@ -116,4 +74,21 @@ fn warm_solve_with_reference_tracking_stays_allocation_free() {
         solver.solve_in_place(&x0, &mut NullExecutor).unwrap()
     });
     assert_eq!(allocs, 0, "warm tracking solve allocated {allocs} times");
+}
+
+#[test]
+fn warm_solves_perform_zero_heap_allocations() {
+    // The counter must be live, or every window below reads 0.
+    let (allocs, _) = allocations_during(|| std::hint::black_box(vec![0u8; 64]));
+    assert!(allocs >= 1, "counting allocator is not installed");
+
+    // Const-specialized paths.
+    assert_warm_solve_is_allocation_free::<false>("quadrotor_hover");
+    assert_warm_solve_is_allocation_free::<false>("double_integrator");
+    // Dynamic fallback: a shape with no const path, and a const shape
+    // with the fallback forced.
+    assert_warm_solve_is_allocation_free::<false>("random_stable_5x2");
+    assert_warm_solve_is_allocation_free::<true>("quadrotor_hover");
+    // Re-targeting the reference between warm solves.
+    assert_reference_tracking_is_allocation_free();
 }

@@ -124,45 +124,11 @@ Platform names are the Table-I identifiers shown by `dse list`.";
 
 /// Counting global allocator: lets `dse bench-serve` measure (and in
 /// `--smoke` mode, gate on) steady-state heap allocations of the serve
-/// tick loop. Counting is one relaxed atomic add per allocation —
-/// negligible against the commands this binary runs.
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAllocator;
-
-    unsafe impl GlobalAlloc for CountingAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
-}
-
+/// tick loop through [`matlib_accel::allocations`]. Counting is one
+/// relaxed atomic add per allocation — negligible against the commands
+/// this binary runs.
 #[global_allocator]
-static GLOBAL: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
-
-/// Current process-wide allocation count (the serve bench's probe).
-fn alloc_count() -> u64 {
-    counting_alloc::ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
-}
+static GLOBAL: matlib_accel::CountingAllocator = matlib_accel::CountingAllocator;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -794,7 +760,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(s) = flag(args, "--workers") {
                 cfg.workers = s.parse().map_err(|_| format!("bad worker count `{s}`"))?;
             }
-            let out = run_bench(&cfg, &alloc_count).map_err(|e| e.to_string())?;
+            let out = run_bench(&cfg, &matlib_accel::allocations).map_err(|e| e.to_string())?;
             println!("{}", out.report);
             let h = &out.host;
             eprintln!(
