@@ -4,7 +4,7 @@
 //! depths to show how much decoupling the MPC workload actually needs.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::{Backend, Platform};
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 lmul: None,
             },
         };
-        let o = solve_cycles(&p, 10)?;
-        rows.push(vec![depth.to_string(), o.result.total_cycles.to_string()]);
+        let c = solve_scenario_summary(&p, &Scenario::hover(), 10)?.total_cycles;
+        rows.push(vec![depth.to_string(), c.to_string()]);
     }
     println!(
         "{}",
@@ -39,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cfg = GemminiConfig::os_4x4_32kb();
         cfg.rs_entries = entries;
         let p = Platform::gemmini(CoreConfig::rocket(), cfg, GemminiOpts::optimized());
-        let o = solve_cycles(&p, 10)?;
-        rows.push(vec![entries.to_string(), o.result.total_cycles.to_string()]);
+        let c = solve_scenario_summary(&p, &Scenario::hover(), 10)?.total_cycles;
+        rows.push(vec![entries.to_string(), c.to_string()]);
     }
     println!("{}", markdown_table(&["RS entries", "cycles/solve"], &rows));
     println!(

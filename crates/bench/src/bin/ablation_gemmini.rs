@@ -3,14 +3,14 @@
 //! optimization at a time and report the end-to-end TinyMPC cost.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts, IsaStyle};
 
 fn run(name: &str, opts: GemminiOpts) -> Result<Vec<String>, Box<dyn std::error::Error>> {
     let p = Platform::gemmini(CoreConfig::rocket(), GemminiConfig::os_4x4_32kb(), opts);
-    let c = solve_cycles(&p, 10)?.result.total_cycles;
+    let c = solve_scenario_summary(&p, &Scenario::hover(), 10)?.total_cycles;
     Ok(vec![name.to_string(), c.to_string()])
 }
 

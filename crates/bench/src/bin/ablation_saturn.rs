@@ -3,7 +3,7 @@
 //! serial-reduction GEMV mapping.
 
 use soc_cpu::{simulate_with_accel, CoreConfig};
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_isa::TraceBuilder;
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         let p = Platform::saturn_with(CoreConfig::rocket(), cfg, style, lmul);
-        let c = solve_cycles(&p, 10)?.result.total_cycles;
+        let c = solve_scenario_summary(&p, &Scenario::hover(), 10)?.total_cycles;
         rows.push(vec![name.to_string(), c.to_string()]);
     }
     println!("{}", markdown_table(&["mapping", "cycles/solve"], &rows));

@@ -3,7 +3,7 @@
 //! with most; checking them less often trades reduction work against
 //! extra ADMM iterations.
 
-use soc_dse::experiments::solve_cycles_with;
+use soc_dse::experiments::Scenario;
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use tinympc::{KernelClass, KernelId, SolverSettings};
@@ -21,22 +21,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             check_interval: interval,
             ..Default::default()
         };
-        let o = solve_cycles_with(&platform, 10, settings)?;
-        let reduction_cycles: u64 = o
-            .result
-            .kernel_cycles
+        let hover = Scenario::hover();
+        let mut solver = hover.solver::<f32>(10, settings)?;
+        let x0 = hover.initial_state::<f32>();
+        let status = solver.solve_in_place(x0.as_slice(), platform.executor().as_mut())?;
+        let reduction_cycles: u64 = solver
+            .last_kernel_cycles()
             .iter()
             .filter(|(k, _)| k.class() == KernelClass::Reduction)
             .map(|(_, c)| c)
             .sum();
         rows.push(vec![
             interval.to_string(),
-            o.result.iterations.to_string(),
-            o.result.total_cycles.to_string(),
+            status.iterations.to_string(),
+            status.total_cycles.to_string(),
             reduction_cycles.to_string(),
             format!(
                 "{:.1}%",
-                100.0 * reduction_cycles as f64 / o.result.total_cycles as f64
+                100.0 * reduction_cycles as f64 / status.total_cycles as f64
             ),
         ]);
     }

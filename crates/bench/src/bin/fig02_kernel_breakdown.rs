@@ -2,10 +2,10 @@
 //! invocation counts, FLOPs, and the share of Rocket cycles per ADMM
 //! iteration, grouped by the paper's three kernel classes.
 
-use soc_dse::experiments::kernel_breakdown;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::{bar_chart, markdown_table};
-use tinympc::{KernelClass, KernelId, KernelProfile, ProblemDims};
+use tinympc::{KernelClass, KernelProfile, ProblemDims};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dims = ProblemDims {
@@ -52,17 +52,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Measured cycle shares on the Rocket baseline.
-    let breakdown = kernel_breakdown(&Platform::rocket_eigen(), 10)?;
-    let total: u64 = breakdown.values().sum();
+    let breakdown =
+        solve_scenario_summary(&Platform::rocket_eigen(), &Scenario::hover(), 10)?.kernel_cycles;
+    let total = breakdown.total();
     println!("\nMeasured cycle share per kernel on Rocket (whole solve):");
-    let bars: Vec<(String, f64)> = KernelId::ALL
+    let bars: Vec<(String, f64)> = breakdown
         .iter()
-        .map(|k| {
-            (
-                k.to_string(),
-                100.0 * breakdown.get(k).copied().unwrap_or(0) as f64 / total as f64,
-            )
-        })
+        .map(|(k, c)| (k.to_string(), 100.0 * c as f64 / total as f64))
         .collect();
     println!("{}", bar_chart(&bars, 50));
 

@@ -4,7 +4,7 @@
 //! hand-optimized vector mapping.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
@@ -28,10 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     println!("Figure 3 — matlib vs hand-optimized TinyMPC on CPUs and Saturn\n");
-    let baseline = solve_cycles(&configs[0], 10)?.result.total_cycles;
+    let baseline = solve_scenario_summary(&configs[0], &Scenario::hover(), 10)?.total_cycles;
     let mut rows = Vec::new();
     for p in &configs {
-        let c = solve_cycles(p, 10)?.result.total_cycles;
+        let c = solve_scenario_summary(p, &Scenario::hover(), 10)?.total_cycles;
         rows.push(vec![
             p.name.clone(),
             c.to_string(),

@@ -3,7 +3,7 @@
 //! hurts the short-vector iterative kernels.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::kernel_speedups;
+use soc_dse::experiments::{kernel_speedups_with, SerialSource};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             VectorStyle::Fused,
             Some(lmul),
         );
-        per_lmul.push(kernel_speedups(&p, &baseline, 10)?);
+        per_lmul.push(kernel_speedups_with(&SerialSource, &p, &baseline, 10)?);
     }
 
     let rows: Vec<Vec<String>> = KernelId::ALL

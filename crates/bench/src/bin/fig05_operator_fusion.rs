@@ -4,11 +4,10 @@
 //! round-trips of matlib function calls.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::{kernel_breakdown, solve_cycles};
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
-use tinympc::KernelId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = Platform::saturn_with(
@@ -25,13 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("Figure 5 — library vs fused-operator speedup (Rocket-driven V512D256)\n");
-    let lib_k = kernel_breakdown(&lib, 10)?;
-    let fused_k = kernel_breakdown(&fused, 10)?;
-    let rows: Vec<Vec<String>> = KernelId::ALL
+    let lib_s = solve_scenario_summary(&lib, &Scenario::hover(), 10)?;
+    let fused_s = solve_scenario_summary(&fused, &Scenario::hover(), 10)?;
+    let rows: Vec<Vec<String>> = lib_s
+        .kernel_cycles
         .iter()
-        .map(|k| {
-            let l = lib_k.get(k).copied().unwrap_or(0);
-            let f = fused_k.get(k).copied().unwrap_or(1);
+        .map(|(k, l)| {
+            let f = fused_s.kernel_cycles.get(k);
             vec![
                 k.to_string(),
                 l.to_string(),
@@ -48,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
 
-    let lt = solve_cycles(&lib, 10)?.result.total_cycles;
-    let ft = solve_cycles(&fused, 10)?.result.total_cycles;
+    let (lt, ft) = (lib_s.total_cycles, fused_s.total_cycles);
     println!(
         "End-to-end: library {lt} cycles, fused {ft} cycles -> {:.2}x",
         lt as f64 / ft as f64

@@ -5,7 +5,7 @@
 //! explicitly.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::{speedup_heatmap, KernelShape, Residency};
+use soc_dse::experiments::{speedup_heatmap_with, KernelShape, Residency, SerialSource};
 use soc_dse::platform::Platform;
 use soc_dse::report::heatmap_text;
 use soc_dse::workloads::{heatmap_heights, heatmap_widths};
@@ -19,7 +19,8 @@ fn main() {
         GemminiConfig::os_4x4_32kb(),
         GemminiOpts::optimized(),
     );
-    let h = speedup_heatmap(
+    let h = speedup_heatmap_with(
+        &SerialSource,
         &saturn,
         &gemmini,
         KernelShape::Gemm,

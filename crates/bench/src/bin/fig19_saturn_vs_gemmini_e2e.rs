@@ -3,12 +3,11 @@
 //! driven), with per-kernel breakdown.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::{kernel_breakdown, solve_cycles};
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_vector::SaturnConfig;
-use tinympc::KernelId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let saturn = Platform::saturn(CoreConfig::rocket(), SaturnConfig::v512d512());
@@ -18,13 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GemminiOpts::optimized(),
     );
     println!("Figure 19 — Saturn V512D512 vs Gemmini 4x4 (equal PEs, Rocket frontends)\n");
-    let ks = kernel_breakdown(&saturn, 10)?;
-    let kg = kernel_breakdown(&gemmini, 10)?;
-    let rows: Vec<Vec<String>> = KernelId::ALL
+    let ss = solve_scenario_summary(&saturn, &Scenario::hover(), 10)?;
+    let sg = solve_scenario_summary(&gemmini, &Scenario::hover(), 10)?;
+    let rows: Vec<Vec<String>> = ss
+        .kernel_cycles
         .iter()
-        .map(|k| {
-            let s = ks.get(k).copied().unwrap_or(0);
-            let g = kg.get(k).copied().unwrap_or(0);
+        .map(|(k, s)| {
+            let g = sg.kernel_cycles.get(k);
             let who = if s < g { "Saturn" } else { "Gemmini" };
             vec![
                 k.to_string(),
@@ -46,8 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &rows
         )
     );
-    let ts = solve_cycles(&saturn, 10)?.result.total_cycles;
-    let tg = solve_cycles(&gemmini, 10)?.result.total_cycles;
+    let (ts, tg) = (ss.total_cycles, sg.total_cycles);
     println!("End-to-end: Saturn {ts}, Gemmini {tg} cycles/solve.");
     println!("Expected shape: Saturn shows uniform speedups across kernel types;\nGemmini peaks on matrix-product passes, loses on reductions.");
     Ok(())

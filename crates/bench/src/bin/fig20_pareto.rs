@@ -1,11 +1,11 @@
 //! Regenerates Figure 20: the area-vs-performance trade-off of every
 //! design point and the Pareto-optimal frontier for TinyMPC.
 
-use soc_dse::experiments::{pareto_frontier, table1};
+use soc_dse::experiments::{pareto_frontier, table1_with, Scenario, SerialSource};
 use soc_dse::report::markdown_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rows = table1(10)?;
+    let mut rows = table1_with(&SerialSource, &Scenario::hover(), 10)?;
     rows.sort_by(|a, b| a.area_um2.total_cmp(&b.area_um2));
     let points: Vec<(f64, f64)> = rows
         .iter()

@@ -5,7 +5,7 @@
 //! end-to-end evaluation), plus an 8x8 mesh point.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, cfg) in points {
         let p = Platform::gemmini(CoreConfig::rocket(), cfg, GemminiOpts::optimized());
         let area = p.area().total();
-        let c = solve_cycles(&p, 10)?.result.total_cycles;
+        let c = solve_scenario_summary(&p, &Scenario::hover(), 10)?.total_cycles;
         if baseline == 0 {
             baseline = c;
         }

@@ -8,19 +8,19 @@
 //! area while beating its performance.
 
 use soc_cpu::CoreConfig;
-use soc_dse::experiments::solve_cycles;
+use soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::SaturnConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Saturn configuration sweep (end-to-end TinyMPC, hand-optimized mapping)\n");
-    let rocket = solve_cycles(&Platform::rocket_eigen(), 10)?;
+    let rocket = solve_scenario_summary(&Platform::rocket_eigen(), &Scenario::hover(), 10)?;
     let rocket_area = Platform::rocket_eigen().area().total();
     let mut rows = vec![vec![
         "Rocket (scalar baseline)".to_string(),
         format!("{:.3}", rocket_area / 1e6),
-        rocket.result.total_cycles.to_string(),
+        rocket.total_cycles.to_string(),
         "1.00x".to_string(),
     ]];
 
@@ -33,14 +33,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SaturnConfig::v512d512(),
         ] {
             let p = Platform::saturn(core.clone(), cfg);
-            let outcome = solve_cycles(&p, 10)?;
+            let outcome = solve_scenario_summary(&p, &Scenario::hover(), 10)?;
             rows.push(vec![
                 p.name.clone(),
                 format!("{:.3}", p.area().total() / 1e6),
-                outcome.result.total_cycles.to_string(),
+                outcome.total_cycles.to_string(),
                 format!(
                     "{:.2}x",
-                    rocket.result.total_cycles as f64 / outcome.result.total_cycles as f64
+                    rocket.total_cycles as f64 / outcome.total_cycles as f64
                 ),
             ]);
         }

@@ -1,11 +1,11 @@
 //! Regenerates Table I: performance (cycles per TinyMPC solve) and area
 //! (ASAP7 µm²) of every scalar, vector and systolic configuration.
 
-use soc_dse::experiments::table1;
+use soc_dse::experiments::{table1_with, Scenario, SerialSource};
 use soc_dse::report::markdown_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rows = table1(10)?;
+    let rows = table1_with(&SerialSource, &Scenario::hover(), 10)?;
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

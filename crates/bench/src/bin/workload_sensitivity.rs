@@ -3,10 +3,9 @@
 //! robots of very different state/input dimensions on every platform and
 //! watch the best-performance-per-area design point move.
 
-use soc_dse::experiments::solve_problem_cycles;
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
-use tinympc::{problems, SolverSettings, TinyMpcProblem};
+use tinympc::{problems, AdmmSolver, SolverSettings, TinyMpcProblem};
 
 fn best_per_area(rows: &[(String, f64, u64)]) -> String {
     rows.iter()
@@ -38,9 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for p in &platforms {
         let mut row = vec![p.name.clone()];
         for (wi, (_, problem)) in workloads.iter().enumerate() {
-            let o = solve_problem_cycles(p, problem.clone(), SolverSettings::default())?;
-            row.push(o.result.total_cycles.to_string());
-            per_workload[wi].push((p.name.clone(), p.area().total_mm2(), o.result.total_cycles));
+            let mut solver = AdmmSolver::new(problem.clone(), SolverSettings::default())?;
+            let x0 = solver.problem().hover_offset_state(0.2);
+            let cycles = solver
+                .solve_in_place(x0.as_slice(), p.executor().as_mut())?
+                .total_cycles;
+            row.push(cycles.to_string());
+            per_workload[wi].push((p.name.clone(), p.area().total_mm2(), cycles));
         }
         rows.push(row);
     }

@@ -60,6 +60,6 @@ mod source;
 pub use interval::{CycleInterval, Side};
 pub use machine::{steady_bounds, trace_bounds};
 pub use source::{
-    analytical_solve, analytical_solve_scenario, kernel_bounds, setup_bounds, solve_bounds,
-    solve_bounds_scenario, standalone_bounds, AnalyticalExecutor, AnalyticalSource,
+    analytical_solve, kernel_bounds, setup_bounds, solve_bounds, standalone_bounds,
+    AnalyticalExecutor, AnalyticalSource,
 };

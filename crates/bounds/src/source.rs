@@ -14,7 +14,7 @@ use soc_dse::experiments::{CycleSource, KernelRequest, Scenario, SolveRequest, S
 use soc_isa::Trace;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tinympc::{AdmmSolver, KernelExecutor, KernelId, ProblemDims, SolverSettings};
+use tinympc::{KernelExecutor, KernelId, ProblemDims, SolverSettings};
 
 fn gate(trace: &Trace, config: &soc_verify::VerifyConfig, what: &str) -> tinympc::Result<()> {
     soc_verify::gate(trace, config, what).map_err(|r| tinympc::Error::InvalidTrace {
@@ -144,11 +144,11 @@ impl KernelExecutor for AnalyticalExecutor {
     }
 }
 
-/// Runs the ADMM solve with analytical pricing from one interval side,
-/// mirroring the trace path's solve setup exactly. With the default
-/// solver settings (no cycle budget) pricing cannot perturb the
-/// iteration count, so the per-side totals bracket the trace-priced
-/// total.
+/// Runs the ADMM solve of `scenario` with analytical pricing from one
+/// interval side: the same step-0 instance and initial state the trace
+/// path prices ([`Scenario::solver`]). With the default solver settings
+/// (no cycle budget) pricing cannot perturb the iteration count, so the
+/// per-side totals bracket the trace-priced total.
 ///
 /// # Errors
 ///
@@ -156,30 +156,11 @@ impl KernelExecutor for AnalyticalExecutor {
 /// [`tinympc::Error::InvalidTrace`] from the verification gate.
 pub fn analytical_solve(
     platform: &Platform,
-    horizon: usize,
-    side: Side,
-) -> tinympc::Result<SolveSummary> {
-    analytical_solve_scenario(platform, &Scenario::hover(), horizon, side)
-}
-
-/// [`analytical_solve`] over an arbitrary scenario: the scenario's
-/// plant, reference window and initial state, priced analytically —
-/// mirroring `solve_scenario_cycles` exactly (hover stays bit-identical
-/// to the legacy path).
-///
-/// # Errors
-///
-/// Propagates solver construction/solve errors, including
-/// [`tinympc::Error::InvalidTrace`] from the verification gate.
-pub fn analytical_solve_scenario(
-    platform: &Platform,
     scenario: &Scenario,
     horizon: usize,
     side: Side,
 ) -> tinympc::Result<SolveSummary> {
-    let problem = scenario.problem::<f32>(horizon)?;
-    let mut solver = AdmmSolver::new(problem, SolverSettings::default())?;
-    solver.set_reference(&scenario.reference::<f32>(horizon, 0))?;
+    let mut solver = scenario.solver::<f32>(horizon, SolverSettings::default())?;
     let x0 = scenario.initial_state::<f32>();
     let mut executor = AnalyticalExecutor::for_platform(platform, side);
     let status = solver.solve_in_place(x0.as_slice(), &mut executor)?;
@@ -187,31 +168,23 @@ pub fn analytical_solve_scenario(
         total_cycles: status.total_cycles,
         iterations: status.iterations,
         converged: status.converged,
-        kernel_cycles: solver.last_kernel_cycles().to_map(),
+        kernel_cycles: solver.last_kernel_cycles(),
     })
 }
 
-/// End-to-end solve cycle bounds: the ADMM solve run once per side.
+/// End-to-end solve cycle bounds of `scenario`: the ADMM solve run once
+/// per side.
 ///
 /// # Errors
 ///
 /// Propagates errors from either side's solve.
-pub fn solve_bounds(platform: &Platform, horizon: usize) -> tinympc::Result<CycleInterval> {
-    solve_bounds_scenario(platform, &Scenario::hover(), horizon)
-}
-
-/// [`solve_bounds`] over an arbitrary scenario.
-///
-/// # Errors
-///
-/// Propagates errors from either side's solve.
-pub fn solve_bounds_scenario(
+pub fn solve_bounds(
     platform: &Platform,
     scenario: &Scenario,
     horizon: usize,
 ) -> tinympc::Result<CycleInterval> {
-    let lo = analytical_solve_scenario(platform, scenario, horizon, Side::Lower)?;
-    let hi = analytical_solve_scenario(platform, scenario, horizon, Side::Upper)?;
+    let lo = analytical_solve(platform, scenario, horizon, Side::Lower)?;
+    let hi = analytical_solve(platform, scenario, horizon, Side::Upper)?;
     Ok(CycleInterval::new(
         lo.total_cycles.min(hi.total_cycles),
         hi.total_cycles,
@@ -252,7 +225,7 @@ impl CycleSource for AnalyticalSource {
     fn solve_batch(&self, requests: &[SolveRequest]) -> Vec<tinympc::Result<SolveSummary>> {
         requests
             .iter()
-            .map(|r| analytical_solve_scenario(&r.platform, &r.scenario, r.horizon, self.side))
+            .map(|r| analytical_solve(&r.platform, &r.scenario, r.horizon, self.side))
             .collect()
     }
 

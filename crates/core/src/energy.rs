@@ -12,7 +12,7 @@
 //! deliver more control-loop work per joule than wide out-of-order cores
 //! at a fraction of the area — is the robust output.
 
-use crate::experiments::solve_cycles;
+use crate::experiments::{solve_scenario_summary, Scenario};
 use crate::platform::Platform;
 use soc_backend::pipeline_for;
 use soc_isa::{Payload, RoccCmd, TraceStats};
@@ -93,8 +93,8 @@ pub fn solve_energy(
     horizon: usize,
     params: &EnergyParams,
 ) -> tinympc::Result<EnergyReport> {
-    let outcome = solve_cycles(platform, horizon)?;
-    let iterations = outcome.result.iterations as u64;
+    let summary = solve_scenario_summary(platform, &Scenario::hover(), horizon)?;
+    let iterations = summary.iterations as u64;
     let dims = tinympc::ProblemDims {
         nx: 12,
         nu: 4,
@@ -140,7 +140,7 @@ pub fn solve_energy(
     }
 
     let area_mm2 = platform.area().total_mm2();
-    let seconds = outcome.result.total_cycles as f64 / (params.clock_ghz * 1.0e9);
+    let seconds = summary.total_cycles as f64 / (params.clock_ghz * 1.0e9);
     let leakage_nj = params.leakage_mw_per_mm2 * area_mm2 * seconds * 1.0e6;
 
     let dynamic_nj = dynamic_pj / 1.0e3;
@@ -149,7 +149,7 @@ pub fn solve_energy(
         platform: platform.name.clone(),
         dynamic_nj,
         leakage_nj,
-        cycles: outcome.result.total_cycles,
+        cycles: summary.total_cycles,
         solves_per_mj: 1.0e6 / total_nj,
     })
 }

@@ -11,101 +11,20 @@
 
 use crate::platform::Platform;
 use soc_backend::pipeline_for;
-use std::collections::BTreeMap;
-use tinympc::{AdmmSolver, KernelId, NullObserver, SolveResult, SolverSettings};
+use tinympc::{KernelCycles, KernelId, SolverSettings};
 
 pub use soc_backend::{KernelShape, Residency};
 pub use soc_scenarios::{evaluate_closed_loop, ClosedLoopReport, Scenario, ScenarioCatalog};
 
-/// Outcome of an end-to-end solve on a platform.
-#[derive(Debug, Clone)]
-pub struct SolveOutcome {
-    /// Platform display name.
-    pub platform: String,
-    /// Full solver result including per-kernel cycle attribution.
-    pub result: SolveResult<f32>,
-}
-
-impl SolveOutcome {
-    /// Cycles per ADMM iteration (total divided by iterations).
-    pub fn cycles_per_iteration(&self) -> f64 {
-        self.result.total_cycles as f64 / self.result.iterations.max(1) as f64
-    }
-}
-
-/// Solves the quadrotor hover problem on a platform, charging cycles to
-/// its executor. Equivalent to [`solve_scenario_cycles`] with the
-/// `hover` scenario (bit for bit — the scenario path is the only solve
-/// path).
+/// Prices one MPC solve of `scenario` on a platform: the scenario's
+/// step-0 instance at `horizon` ([`Scenario::solver`]), solved from its
+/// characteristic initial state with default settings, every kernel
+/// charged to the platform's executor. This is the one function that
+/// prices a solve; every table and figure is built from it.
 ///
-/// # Errors
-///
-/// Propagates solver construction/solve failures.
-pub fn solve_cycles(platform: &Platform, horizon: usize) -> tinympc::Result<SolveOutcome> {
-    solve_cycles_with(platform, horizon, SolverSettings::default())
-}
-
-/// [`solve_cycles`] with explicit solver settings (tolerance, iteration
-/// budget, residual-check interval).
-///
-/// # Errors
-///
-/// Propagates solver construction/solve failures.
-pub fn solve_cycles_with(
-    platform: &Platform,
-    horizon: usize,
-    settings: SolverSettings,
-) -> tinympc::Result<SolveOutcome> {
-    solve_scenario_cycles_with(platform, &Scenario::hover(), horizon, settings)
-}
-
-/// Solves one MPC instance of `scenario` on a platform, charging cycles
-/// to its executor: the scenario's plant at `horizon`, its reference
-/// window at rollout step 0, from its characteristic initial state.
-///
-/// For the `hover` scenario this is bit-identical to the legacy
-/// hover-only path (the hover reference is all zeros, exactly the
-/// workspace default).
-///
-/// # Errors
-///
-/// Propagates solver construction/solve failures.
-pub fn solve_scenario_cycles(
-    platform: &Platform,
-    scenario: &Scenario,
-    horizon: usize,
-) -> tinympc::Result<SolveOutcome> {
-    solve_scenario_cycles_with(platform, scenario, horizon, SolverSettings::default())
-}
-
-/// [`solve_scenario_cycles`] with explicit solver settings.
-///
-/// # Errors
-///
-/// Propagates solver construction/solve failures.
-pub fn solve_scenario_cycles_with(
-    platform: &Platform,
-    scenario: &Scenario,
-    horizon: usize,
-    settings: SolverSettings,
-) -> tinympc::Result<SolveOutcome> {
-    let problem = scenario.problem::<f32>(horizon)?;
-    let mut solver = AdmmSolver::new(problem, settings)?;
-    solver.set_reference(&scenario.reference::<f32>(horizon, 0))?;
-    let x0 = scenario.initial_state::<f32>();
-    let mut executor = platform.executor();
-    let result = solver.solve_observed(&x0, executor.as_mut(), &mut NullObserver)?;
-    Ok(SolveOutcome {
-        platform: platform.name.clone(),
-        result,
-    })
-}
-
-/// Prices one scenario solve and returns just the cycle summary — the
-/// batch-oracle hot path. Runs the solver's in-place entry point, so no
-/// trajectory, `u0` vector or per-solve result struct is materialized;
-/// bit-identical in cycles and iterations to
-/// [`solve_scenario_cycles`] (same math, same charge schedule).
+/// Callers that need the applied control, the residuals, custom
+/// [`SolverSettings`] or an arbitrary problem drive
+/// [`tinympc::AdmmSolver::solve_in_place`] themselves.
 ///
 /// # Errors
 ///
@@ -115,45 +34,21 @@ pub fn solve_scenario_summary(
     scenario: &Scenario,
     horizon: usize,
 ) -> tinympc::Result<SolveSummary> {
-    let problem = scenario.problem::<f32>(horizon)?;
-    let mut solver = AdmmSolver::new(problem, SolverSettings::default())?;
-    solver.set_reference(&scenario.reference::<f32>(horizon, 0))?;
+    let mut solver = scenario.solver::<f32>(horizon, SolverSettings::default())?;
     let x0 = scenario.initial_state::<f32>();
-    let mut executor = platform.executor();
-    let status = solver.solve_in_place(x0.as_slice(), executor.as_mut())?;
+    let status = solver.solve_in_place(x0.as_slice(), platform.executor().as_mut())?;
     Ok(SolveSummary {
         total_cycles: status.total_cycles,
         iterations: status.iterations,
         converged: status.converged,
-        kernel_cycles: solver.last_kernel_cycles().to_map(),
-    })
-}
-
-/// Prices an arbitrary MPC problem (any state/input dimensions) on a
-/// platform — the workload-sensitivity entry point.
-///
-/// # Errors
-///
-/// Propagates solver construction/solve failures.
-pub fn solve_problem_cycles(
-    platform: &Platform,
-    problem: tinympc::TinyMpcProblem<f32>,
-    settings: SolverSettings,
-) -> tinympc::Result<SolveOutcome> {
-    let mut solver = AdmmSolver::new(problem, settings)?;
-    let x0 = solver.problem().hover_offset_state(0.2);
-    let mut executor = platform.executor();
-    let result = solver.solve_observed(&x0, executor.as_mut(), &mut NullObserver)?;
-    Ok(SolveOutcome {
-        platform: platform.name.clone(),
-        result,
+        kernel_cycles: solver.last_kernel_cycles(),
     })
 }
 
 /// Cycle-relevant summary of one end-to-end solve — everything the sweep
 /// experiments (Table I, kernel speedups) need, and nothing that cannot
 /// be cheaply cached (no trajectories, no residual history).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveSummary {
     /// Simulated cycles for the whole solve.
     pub total_cycles: u64,
@@ -162,17 +57,13 @@ pub struct SolveSummary {
     /// Whether the solver reported convergence.
     pub converged: bool,
     /// Per-kernel cycle attribution.
-    pub kernel_cycles: BTreeMap<KernelId, u64>,
+    pub kernel_cycles: KernelCycles,
 }
 
-impl From<&SolveOutcome> for SolveSummary {
-    fn from(outcome: &SolveOutcome) -> Self {
-        SolveSummary {
-            total_cycles: outcome.result.total_cycles,
-            iterations: outcome.result.iterations,
-            converged: outcome.result.converged,
-            kernel_cycles: outcome.result.kernel_cycles.clone(),
-        }
+impl SolveSummary {
+    /// Cycles per ADMM iteration (total divided by iterations).
+    pub fn cycles_per_iteration(&self) -> f64 {
+        self.total_cycles as f64 / self.iterations.max(1) as f64
     }
 }
 
@@ -195,12 +86,6 @@ impl SolveRequest {
             scenario,
             horizon,
         }
-    }
-
-    /// A quadrotor-hover solve request — the compatibility default all
-    /// legacy (pre-scenario) call sites map onto.
-    pub fn hover(platform: Platform, horizon: usize) -> Self {
-        Self::new(platform, Scenario::hover(), horizon)
     }
 }
 
@@ -270,24 +155,14 @@ pub struct Table1Row {
     pub mpc_hz: f64,
 }
 
-/// Regenerates Table I: area and cycles-per-solve for every registry
-/// platform, submitting the solves through `source` as one batch.
-/// Solves the hover scenario (the paper's workload).
+/// Regenerates Table I: area and cycles-per-solve of `scenario` (the
+/// paper's is hover) on every registry platform, submitting the solves
+/// through `source` as one batch.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn table1_with(source: &dyn CycleSource, horizon: usize) -> tinympc::Result<Vec<Table1Row>> {
-    table1_scenario_with(source, &Scenario::hover(), horizon)
-}
-
-/// [`table1_with`] over an arbitrary scenario: the same back-end
-/// registry, priced on a different workload.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn table1_scenario_with(
+pub fn table1_with(
     source: &dyn CycleSource,
     scenario: &Scenario,
     horizon: usize,
@@ -314,15 +189,6 @@ pub fn table1_scenario_with(
         .collect()
 }
 
-/// Regenerates Table I via the serial reference path.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn table1(horizon: usize) -> tinympc::Result<Vec<Table1Row>> {
-    table1_with(&SerialSource, horizon)
-}
-
 /// Marks the Pareto-optimal points among `(area, cycles)` pairs (both
 /// minimized). Returns one flag per input point.
 pub fn pareto_frontier(points: &[(f64, f64)]) -> Vec<bool> {
@@ -336,20 +202,8 @@ pub fn pareto_frontier(points: &[(f64, f64)]) -> Vec<bool> {
         .collect()
 }
 
-/// Per-kernel cycles of one solve on a platform (Figures 16–19 raw data).
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn kernel_breakdown(
-    platform: &Platform,
-    horizon: usize,
-) -> tinympc::Result<BTreeMap<KernelId, u64>> {
-    Ok(solve_cycles(platform, horizon)?.result.kernel_cycles)
-}
-
 /// Per-kernel speedup of `platform` over `baseline` (both solving the
-/// same problem), submitting both solves through `source` as one batch.
+/// hover scenario), submitting both solves through `source` as one batch.
 ///
 /// # Errors
 ///
@@ -360,35 +214,20 @@ pub fn kernel_speedups_with(
     baseline: &Platform,
     horizon: usize,
 ) -> tinympc::Result<Vec<(KernelId, f64)>> {
-    let requests = [
-        SolveRequest::hover(platform.clone(), horizon),
-        SolveRequest::hover(baseline.clone(), horizon),
-    ];
+    let requests =
+        [platform, baseline].map(|p| SolveRequest::new(p.clone(), Scenario::hover(), horizon));
     let mut summaries = source.solve_batch(&requests).into_iter();
     let (Some(a), Some(b)) = (summaries.next(), summaries.next()) else {
         panic!("CycleSource contract: two requests, two answers");
     };
     let (a, b) = (a?.kernel_cycles, b?.kernel_cycles);
-    Ok(KernelId::ALL
-        .iter()
-        .filter_map(|k| {
-            let (ca, cb) = (a.get(k).copied()?, b.get(k).copied()?);
-            Some((*k, cb as f64 / ca.max(1) as f64))
+    // Kernels charged on both sides, in `KernelId::ALL` order.
+    Ok(a.iter()
+        .filter_map(|(k, ca)| {
+            let (_, cb) = b.iter().find(|&(kb, _)| kb == k)?;
+            Some((k, cb as f64 / ca.max(1) as f64))
         })
         .collect())
-}
-
-/// [`kernel_speedups_with`] via the serial reference path.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn kernel_speedups(
-    platform: &Platform,
-    baseline: &Platform,
-    horizon: usize,
-) -> tinympc::Result<Vec<(KernelId, f64)>> {
-    kernel_speedups_with(&SerialSource, platform, baseline, horizon)
 }
 
 /// Cycles for a standalone GEMV/GEMM of the given size on a platform.
@@ -499,26 +338,6 @@ pub fn speedup_heatmap_with(
     }
 }
 
-/// [`speedup_heatmap_with`] via the serial reference path.
-pub fn speedup_heatmap(
-    numerator: &Platform,
-    denominator: &Platform,
-    shape: KernelShape,
-    residency: Residency,
-    heights: &[usize],
-    widths: &[usize],
-) -> Heatmap {
-    speedup_heatmap_with(
-        &SerialSource,
-        numerator,
-        denominator,
-        shape,
-        residency,
-        heights,
-        widths,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,6 +345,23 @@ mod tests {
     use soc_cpu::CoreConfig;
     use soc_gemmini::{GemminiConfig, GemminiOpts};
     use soc_vector::SaturnConfig;
+    use tinympc::{AdmmSolver, SolveStatus};
+
+    fn hover(platform: &Platform, horizon: usize) -> SolveSummary {
+        solve_scenario_summary(platform, &Scenario::hover(), horizon).unwrap()
+    }
+
+    /// Solves from `x0` on `platform`: the status and the applied control.
+    fn solve_on(
+        platform: &Platform,
+        solver: &mut AdmmSolver<f32>,
+        x0: &[f32],
+    ) -> (SolveStatus, Vec<f32>) {
+        let status = solver
+            .solve_in_place(x0, platform.executor().as_mut())
+            .unwrap();
+        (status, solver.u0().to_vec())
+    }
 
     #[test]
     fn pareto_marks_dominated_points() {
@@ -540,50 +376,54 @@ mod tests {
         // set_reference (workspace xref stays zeroed), x0 offset 0.2.
         let platform = Platform::rocket_eigen();
         let problem = tinympc::problems::quadrotor_hover::<f32>(10).unwrap();
-        let legacy = solve_problem_cycles(&platform, problem, SolverSettings::default()).unwrap();
-        let scenario = solve_scenario_cycles(&platform, &Scenario::hover(), 10).unwrap();
-        assert_eq!(legacy.result.total_cycles, scenario.result.total_cycles);
-        assert_eq!(legacy.result.iterations, scenario.result.iterations);
-        assert_eq!(
-            legacy.result.u0, scenario.result.u0,
-            "u0 must match bit for bit"
-        );
+        let mut legacy = AdmmSolver::new(problem, SolverSettings::default()).unwrap();
+        let x0 = legacy.problem().hover_offset_state(0.2);
+        let (legacy, legacy_u0) = solve_on(&platform, &mut legacy, x0.as_slice());
+        let hover = Scenario::hover();
+        let mut scenario = hover.solver(10, SolverSettings::default()).unwrap();
+        let x0 = hover.initial_state::<f32>();
+        let (scenario, scenario_u0) = solve_on(&platform, &mut scenario, x0.as_slice());
+        assert_eq!(legacy.total_cycles, scenario.total_cycles);
+        assert_eq!(legacy.iterations, scenario.iterations);
+        assert_eq!(legacy_u0, scenario_u0, "u0 must match bit for bit");
     }
 
     #[test]
     fn scenarios_change_the_priced_workload() {
         let platform = Platform::rocket_eigen();
-        let hover = solve_scenario_cycles(&platform, &Scenario::hover(), 10).unwrap();
-        let dint = solve_scenario_cycles(&platform, &Scenario::double_integrator(), 10).unwrap();
+        let quad = hover(&platform, 10);
+        let dint = solve_scenario_summary(&platform, &Scenario::double_integrator(), 10).unwrap();
         // A 2×1 plant must be far cheaper per ADMM iteration than the
         // 12×4 quad (iteration counts differ between workloads).
-        assert!(dint.cycles_per_iteration() < hover.cycles_per_iteration() / 4.0);
+        assert!(dint.cycles_per_iteration() < quad.cycles_per_iteration() / 4.0);
         // And the SOC scenario must still solve to a finite input.
-        let soc = solve_scenario_cycles(&platform, &Scenario::soft_landing(), 10).unwrap();
-        assert!(soc.result.u0.is_finite());
+        let landing = Scenario::soft_landing();
+        let mut soc = landing.solver(10, SolverSettings::default()).unwrap();
+        let x0 = landing.initial_state::<f32>();
+        let (_, u0) = solve_on(&platform, &mut soc, x0.as_slice());
+        assert!(u0.iter().all(|u| u.is_finite()));
     }
 
     #[test]
     fn rocket_solve_produces_breakdown() {
-        let outcome = solve_cycles(&Platform::rocket_eigen(), 10).unwrap();
-        assert!(outcome.result.converged);
-        assert!(outcome.result.total_cycles > 10_000);
-        assert_eq!(outcome.result.kernel_cycles.len(), 15);
+        let summary = hover(&Platform::rocket_eigen(), 10);
+        assert!(summary.converged);
+        assert!(summary.total_cycles > 10_000);
+        assert_eq!(summary.kernel_cycles.iter().count(), 15);
     }
 
     #[test]
     fn saturn_beats_rocket_end_to_end() {
-        let rocket = solve_cycles(&Platform::rocket_eigen(), 10).unwrap();
-        let saturn = solve_cycles(
+        let rocket = hover(&Platform::rocket_eigen(), 10);
+        let saturn = hover(
             &Platform::saturn(CoreConfig::shuttle(), SaturnConfig::v512d256()),
             10,
-        )
-        .unwrap();
+        );
         assert!(
-            saturn.result.total_cycles < rocket.result.total_cycles,
+            saturn.total_cycles < rocket.total_cycles,
             "saturn {} vs rocket {}",
-            saturn.result.total_cycles,
-            rocket.result.total_cycles
+            saturn.total_cycles,
+            rocket.total_cycles
         );
     }
 
@@ -596,7 +436,8 @@ mod tests {
             GemminiConfig::os_4x4_32kb(),
             GemminiOpts::optimized(),
         );
-        let h = speedup_heatmap(
+        let h = speedup_heatmap_with(
+            &SerialSource,
             &saturn,
             &gemmini,
             KernelShape::Gemv,
@@ -627,7 +468,8 @@ mod tests {
         );
         let hs = workloads::heatmap_heights();
         let ws_ = workloads::heatmap_widths();
-        let plain_vs_saturn = speedup_heatmap(
+        let plain_vs_saturn = speedup_heatmap_with(
+            &SerialSource,
             &plain,
             &saturn,
             KernelShape::Gemv,
@@ -635,7 +477,8 @@ mod tests {
             &hs[..4],
             &ws_[..4],
         );
-        let ext_vs_saturn = speedup_heatmap(
+        let ext_vs_saturn = speedup_heatmap_with(
+            &SerialSource,
             &ext,
             &saturn,
             KernelShape::Gemv,
@@ -707,16 +550,16 @@ mod tests {
         let rocket = Platform::rocket_eigen();
         let saturn = Platform::saturn(CoreConfig::shuttle(), SaturnConfig::v512d256());
 
-        // Solve batch ≡ solve_cycles, element for element.
+        // Solve batch ≡ solve_scenario_summary, element for element.
         let requests = [
-            SolveRequest::hover(rocket.clone(), 8),
-            SolveRequest::hover(saturn.clone(), 8),
+            SolveRequest::new(rocket.clone(), Scenario::hover(), 8),
+            SolveRequest::new(saturn.clone(), Scenario::double_integrator(), 8),
         ];
         let batch = SerialSource.solve_batch(&requests);
         assert_eq!(batch.len(), 2);
         for (req, got) in requests.iter().zip(&batch) {
-            let direct = SolveSummary::from(&solve_cycles(&req.platform, req.horizon).unwrap());
-            assert_eq!(got.as_ref().unwrap(), &direct);
+            let direct = solve_scenario_summary(&req.platform, &req.scenario, req.horizon);
+            assert_eq!(got.as_ref().unwrap(), &direct.unwrap());
         }
 
         // Kernel batch ≡ standalone_kernel, element for element.

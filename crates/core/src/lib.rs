@@ -21,8 +21,7 @@
 //!   point) and area/performance plumbing, re-exported from
 //!   `soc-backend`.
 //! * [`experiments`] — runnable reproductions of each table and figure.
-//! * [`workloads`] — random kernel-size generators and closed-loop
-//!   reference trajectories.
+//! * [`workloads`] — the kernel-size axes of the heatmap sweeps.
 //! * [`energy`] — a first-order energy model (an extension beyond the
 //!   paper's published data; see its module docs).
 //! * [`verify`] — sweeps the `soc-verify` static analyzer over every
@@ -33,13 +32,13 @@
 //!
 //! ```
 //! use soc_dse::platform::Platform;
-//! use soc_dse::experiments::solve_cycles;
+//! use soc_dse::experiments::{solve_scenario_summary, Scenario};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let rocket = Platform::rocket_eigen();
-//! let outcome = solve_cycles(&rocket, 10)?;
-//! assert!(outcome.result.converged);
-//! assert!(outcome.result.total_cycles > 0);
+//! let summary = solve_scenario_summary(&rocket, &Scenario::hover(), 10)?;
+//! assert!(summary.converged);
+//! assert!(summary.total_cycles > 0);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,7 +1,7 @@
 //! Seeded fault-injection campaigns across the shipped back-ends.
 //!
 //! A campaign takes one seed, derives a deterministic [`FaultPlan`] per
-//! back-end, runs the quadrotor workload under injection with a deadline
+//! back-end, runs one scenario's workload under injection with a deadline
 //! budget of 1.5× the measured nominal solve, and classifies every trial:
 //!
 //! - **detected** — some detection layer fired (rejected trace,
@@ -27,7 +27,7 @@ use soc_backend::{pipeline_for, FaultSurface, PipelineExecutor};
 use soc_dse::experiments::Scenario;
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
-use tinympc::{AdmmSolver, NullExecutor, SolverSettings, TerminationCause};
+use tinympc::{NullExecutor, SolverSettings, TerminationCause};
 
 /// Campaign size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,45 +184,23 @@ fn campaign_targets() -> Vec<(Platform, Vec<FaultSite>)> {
         .collect()
 }
 
-/// Builds the campaign's solver for a scenario: its plant at the
-/// scenario's default horizon with the step-0 reference window set (for
-/// hover this is bit-identical to the legacy hover-only prototype — the
-/// hover window is all zeros, exactly the workspace default).
-fn prototype_for(scenario: &Scenario) -> AdmmSolver<f32> {
-    let horizon = scenario.default_horizon();
-    let p = scenario.problem::<f32>(horizon).expect("scenario problem");
-    let mut solver = AdmmSolver::new(p, SolverSettings::default()).expect("solver construction");
-    solver
-        .set_reference(&scenario.reference::<f32>(horizon, 0))
-        .expect("reference window");
-    solver
-}
-
-/// Runs one seeded campaign.
+/// Runs one seeded campaign flying `scenario`: the same fault plans,
+/// deadline ladder and classification for every scenario, against its
+/// step-0 solver at its default horizon ([`Scenario::solver`]) and
+/// randomly rescaled copies of its initial state.
 ///
 /// # Errors
 ///
 /// Returns [`tinympc::Error::Campaign`] if a nominal (fault-free) solve
 /// or the instruction harness fails — that means the environment is
-/// broken, not that a fault escaped.
-pub fn run_campaign(seed: u64, kind: CampaignKind) -> tinympc::Result<CampaignReport> {
-    run_campaign_scenario(seed, kind, &Scenario::hover())
-}
-
-/// [`run_campaign`] flying an arbitrary scenario: the same fault plans,
-/// deadline ladder and classification, against that scenario's plant,
-/// reference and (randomly rescaled) initial states.
-///
-/// # Errors
-///
-/// Returns [`tinympc::Error::Campaign`] if a nominal (fault-free) solve
-/// or the instruction harness fails.
-pub fn run_campaign_scenario(
+/// broken, not that a fault escaped — and propagates solver setup
+/// failures.
+pub fn run_campaign(
     seed: u64,
     kind: CampaignKind,
     scenario: &Scenario,
 ) -> tinympc::Result<CampaignReport> {
-    let proto = prototype_for(scenario);
+    let proto = scenario.solver::<f32>(scenario.default_horizon(), SolverSettings::default())?;
     let problem = proto.problem();
     let sdc_bound = 0.05 * (problem.u_max - problem.u_min);
     let mut backends = Vec::new();
@@ -365,7 +343,7 @@ mod tests {
 
     #[test]
     fn classification_buckets_partition_trials() {
-        let r = run_campaign(3, CampaignKind::Smoke).unwrap();
+        let r = run_campaign(3, CampaignKind::Smoke, &Scenario::hover()).unwrap();
         for b in &r.backends {
             let undetected = b.masked + b.sdc + b.deadline_missed;
             assert_eq!(
@@ -383,13 +361,13 @@ mod tests {
 
     #[test]
     fn scalar_backend_has_no_silent_corruption() {
-        let r = run_campaign(7, CampaignKind::Smoke).unwrap();
+        let r = run_campaign(7, CampaignKind::Smoke, &Scenario::hover()).unwrap();
         assert_eq!(r.scalar_sdc(), 0, "{}", r.render());
     }
 
     #[test]
     fn scenario_campaign_flies_the_soc_workload() {
-        let r = run_campaign_scenario(11, CampaignKind::Smoke, &Scenario::soft_landing()).unwrap();
+        let r = run_campaign(11, CampaignKind::Smoke, &Scenario::soft_landing()).unwrap();
         assert_eq!(r.workload, "soft-landing");
         assert!(r.render().contains("workload soft-landing"));
         for b in &r.backends {
@@ -402,8 +380,7 @@ mod tests {
         }
         // Identical seed, identical report — scenario campaigns keep
         // the determinism contract.
-        let again =
-            run_campaign_scenario(11, CampaignKind::Smoke, &Scenario::soft_landing()).unwrap();
+        let again = run_campaign(11, CampaignKind::Smoke, &Scenario::soft_landing()).unwrap();
         assert_eq!(r, again);
     }
 
@@ -411,7 +388,10 @@ mod tests {
     fn null_observer_is_a_clean_baseline() {
         // No fault: the deadline solver under the campaign budget must
         // match the reference exactly.
-        let proto = prototype_for(&Scenario::hover());
+        let hover = Scenario::hover();
+        let proto = hover
+            .solver::<f32>(hover.default_horizon(), SolverSettings::default())
+            .unwrap();
         let x0 = proto.problem().hover_offset_state(0.2);
         let u_ref = {
             let mut reference = proto.clone();

@@ -31,7 +31,7 @@
 
 use crate::campaign::{run_campaign, CampaignKind};
 use matlib::rng::SplitMix64;
-use soc_dse::experiments::{KernelRequest, KernelShape, Residency, SolveRequest};
+use soc_dse::experiments::{KernelRequest, KernelShape, Residency, Scenario, SolveRequest};
 use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_sweep::{run_sweep, ChaosAction, ChaosCtx, ChaosHook, RetryPolicy, SweepEngine, SweepSpec};
@@ -392,7 +392,7 @@ fn bounds_worker_panic(seed: u64) -> Result<(ChaosOutcome, String), String> {
     let requests: Vec<SolveRequest> = SweepSpec::smoke()
         .platforms
         .into_iter()
-        .map(|platform| SolveRequest::hover(platform, 8))
+        .map(|platform| SolveRequest::new(platform, Scenario::hover(), 8))
         .collect();
     let clean: Vec<(u64, u64)> = SweepEngine::in_memory(1)
         .bounds_batch(&requests)
@@ -422,7 +422,7 @@ fn bounds_worker_panic(seed: u64) -> Result<(ChaosOutcome, String), String> {
 /// complete, its classification buckets must partition the trials, and
 /// (full campaigns only) a re-run must render identically.
 fn faults_campaign(seed: u64, smoke: bool) -> Result<(ChaosOutcome, String), String> {
-    let report = run_campaign(seed, CampaignKind::Smoke).map_err(err)?;
+    let report = run_campaign(seed, CampaignKind::Smoke, &Scenario::hover()).map_err(err)?;
     for b in &report.backends {
         if b.detected + b.masked + b.sdc + b.deadline_missed != b.trials {
             return Err(format!(
@@ -432,7 +432,7 @@ fn faults_campaign(seed: u64, smoke: bool) -> Result<(ChaosOutcome, String), Str
         }
     }
     if !smoke {
-        let again = run_campaign(seed, CampaignKind::Smoke).map_err(err)?;
+        let again = run_campaign(seed, CampaignKind::Smoke, &Scenario::hover()).map_err(err)?;
         if again.render() != report.render() {
             return Err("identical seeds rendered different campaign reports".to_string());
         }

@@ -41,9 +41,7 @@ pub mod inject;
 pub mod plan;
 pub mod riscv;
 
-pub use campaign::{
-    run_campaign, run_campaign_scenario, BackendStats, CampaignKind, CampaignReport,
-};
+pub use campaign::{run_campaign, BackendStats, CampaignKind, CampaignReport};
 pub use chaos::{recoverable_strikes, run_chaos, ChaosOutcome, ChaosReport, ChaosTrial};
 pub use deadline::{
     DeadlineConfig, DeadlineSolver, DegradeRung, RungCosts, RungStatus, SolveOutcome,

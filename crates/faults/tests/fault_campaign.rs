@@ -1,6 +1,7 @@
 //! End-to-end properties of the fault-injection and degradation stack.
 
 use soc_backend::PipelineExecutor;
+use soc_dse::experiments::Scenario;
 use soc_dse::platform::Platform;
 use soc_faults::{
     run_campaign, CampaignKind, DataInjector, DeadlineConfig, DeadlineSolver, DegradeRung,
@@ -91,8 +92,8 @@ fn ladder_fires_in_order_under_shrinking_budget() {
 /// The same seed must reproduce the same campaign report, byte for byte.
 #[test]
 fn campaign_reports_are_deterministic() {
-    let a = run_campaign(7, CampaignKind::Smoke).unwrap();
-    let b = run_campaign(7, CampaignKind::Smoke).unwrap();
+    let a = run_campaign(7, CampaignKind::Smoke, &Scenario::hover()).unwrap();
+    let b = run_campaign(7, CampaignKind::Smoke, &Scenario::hover()).unwrap();
     assert_eq!(a.render(), b.render());
     assert_eq!(a.backends.len(), 3, "three back-end families swept");
 }

@@ -162,6 +162,17 @@ mod tests {
     }
 
     #[test]
+    fn figure8_is_smooth_and_bounded() {
+        let r = figure8::<f64>(12, 100, 0, 0.01);
+        assert_eq!(r.len(), 100);
+        for w in r.windows(2) {
+            let dx = (w[1][0] - w[0][0]).abs();
+            assert!(dx < 0.01, "reference jumps by {dx}");
+        }
+        assert!(r.iter().all(|v| v.max_abs() < 1.0));
+    }
+
+    #[test]
     fn figure8_velocity_matches_position_derivative() {
         let dt = 1e-4;
         let w = figure8::<f64>(12, 3, 0, dt);

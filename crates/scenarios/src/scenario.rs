@@ -3,7 +3,7 @@
 use crate::reference;
 use matlib::rng::SplitMix64;
 use matlib::{Matrix, Scalar, Vector};
-use tinympc::{problems, TinyMpcProblem};
+use tinympc::{problems, AdmmSolver, SolverSettings, TinyMpcProblem};
 
 /// A pluggable MPC workload: a plant constructor, a reference-trajectory
 /// generator, a characteristic initial state, and closed-loop rollout
@@ -197,6 +197,23 @@ impl Scenario {
             ScenarioKind::DoubleIntegrator => problems::double_integrator(horizon),
             ScenarioKind::RandomStable { nx, nu, seed } => random_plant(*nx, *nu, horizon, *seed),
         }
+    }
+
+    /// The solver of this scenario's first MPC instance: its plant at
+    /// `horizon`, with the reference window of rollout step 0 loaded.
+    /// Solve it from [`Scenario::initial_state`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates problem construction and solver setup failures.
+    pub fn solver<T: Scalar>(
+        &self,
+        horizon: usize,
+        settings: SolverSettings,
+    ) -> tinympc::Result<AdmmSolver<T>> {
+        let mut solver = AdmmSolver::new(self.problem(horizon)?, settings)?;
+        solver.set_reference(&self.reference(horizon, 0))?;
+        Ok(solver)
     }
 
     /// The reference window `[r(step), …, r(step + horizon − 1)]` for a

@@ -27,10 +27,10 @@
 
 use crate::key::Key;
 use soc_dse::experiments::SolveSummary;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tinympc::KernelId;
+use tinympc::{KernelCycles, KernelId};
 
 /// Which tier answered a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +113,7 @@ impl SweepCache {
             return Some((v.clone(), HitLevel::Memory));
         }
         let summary = self.read_entry(key, parse_solve)?;
-        self.solves.insert(*key, Ok(summary.clone()));
+        self.solves.insert(*key, Ok(summary));
         Some((Ok(summary), HitLevel::Disk))
     }
 
@@ -309,13 +309,13 @@ fn parse_solve(text: &str) -> Option<SolveSummary> {
         "false" => false,
         _ => return None,
     };
-    let mut kernel_cycles = BTreeMap::new();
+    let mut kernel_cycles = KernelCycles::new();
     for pair in field(&mut lines, "kernels")?
         .split(',')
         .filter(|p| !p.is_empty())
     {
         let (name, cycles) = pair.split_once('=')?;
-        kernel_cycles.insert(kernel_id_by_name(name)?, cycles.parse().ok()?);
+        kernel_cycles.add(kernel_id_by_name(name)?, cycles.parse().ok()?);
     }
     Some(SolveSummary {
         total_cycles,
@@ -349,9 +349,9 @@ mod tests {
     use crate::key::key_of;
 
     fn summary() -> SolveSummary {
-        let mut kernel_cycles = BTreeMap::new();
-        kernel_cycles.insert(KernelId::ForwardPass1, 123);
-        kernel_cycles.insert(KernelId::DualResidualInput, 7);
+        let mut kernel_cycles = KernelCycles::new();
+        kernel_cycles.add(KernelId::ForwardPass1, 123);
+        kernel_cycles.add(KernelId::DualResidualInput, 7);
         SolveSummary {
             total_cycles: 392_261,
             iterations: 35,
@@ -364,6 +364,29 @@ mod tests {
     fn solve_round_trips_through_text() {
         let s = summary();
         assert_eq!(parse_solve(&render_solve(&s)), Some(s));
+    }
+
+    /// The on-disk solve body, pinned: an entry written before the
+    /// summary held a `KernelCycles` must still parse, and re-render to
+    /// the same bytes, so existing caches stay valid.
+    #[test]
+    fn solve_entry_format_is_pinned() {
+        let entry = "soc-sweep-cache v2\nkind solve\ntotal_cycles 55347\niterations 6\n\
+                     converged true\nkernels ForwardPass1=1782,BackwardPass2=8100,\
+                     UpdateSlack1=0,DualResidualInput=2286\n";
+        let mut kernel_cycles = KernelCycles::new();
+        kernel_cycles.add(KernelId::ForwardPass1, 1782);
+        kernel_cycles.add(KernelId::BackwardPass2, 8100);
+        kernel_cycles.add(KernelId::UpdateSlack1, 0);
+        kernel_cycles.add(KernelId::DualResidualInput, 2286);
+        let expected = SolveSummary {
+            total_cycles: 55_347,
+            iterations: 6,
+            converged: true,
+            kernel_cycles,
+        };
+        assert_eq!(parse_solve(entry), Some(expected));
+        assert_eq!(render_solve(&expected), entry);
     }
 
     #[test]

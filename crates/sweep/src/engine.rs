@@ -297,10 +297,7 @@ impl SweepEngine {
             bounds_key,
             SweepCache::get_bounds,
             |cache, key, value| cache.put_bounds(key, value),
-            |r| {
-                soc_bounds::solve_bounds_scenario(&r.platform, &r.scenario, r.horizon)
-                    .map(|i| (i.lo, i.hi))
-            },
+            |r| soc_bounds::solve_bounds(&r.platform, &r.scenario, r.horizon).map(|i| (i.lo, i.hi)),
             |failure| Err(shard_failed(failure)),
         )
     }
@@ -461,7 +458,7 @@ impl CycleSource for SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_dse::experiments::{KernelShape, Residency, SerialSource};
+    use soc_dse::experiments::{KernelShape, Residency, Scenario, SerialSource};
     use soc_dse::platform::Platform;
 
     fn kernel_requests() -> Vec<KernelRequest> {
@@ -520,7 +517,11 @@ mod tests {
 
     #[test]
     fn solve_batch_matches_serial_and_warms() {
-        let requests = vec![SolveRequest::hover(Platform::rocket_eigen(), 6)];
+        let requests = vec![SolveRequest::new(
+            Platform::rocket_eigen(),
+            Scenario::hover(),
+            6,
+        )];
         let reference = SerialSource.solve_batch(&requests);
         let engine = SweepEngine::in_memory(4);
         assert_eq!(engine.solve_batch(&requests), reference);
@@ -603,8 +604,8 @@ mod tests {
     #[test]
     fn exhausted_solve_item_surfaces_shard_failed_and_spares_the_rest() {
         let requests = vec![
-            SolveRequest::hover(Platform::rocket_eigen(), 6),
-            SolveRequest::hover(Platform::rocket_eigen(), 7),
+            SolveRequest::new(Platform::rocket_eigen(), Scenario::hover(), 6),
+            SolveRequest::new(Platform::rocket_eigen(), Scenario::hover(), 7),
         ];
         let hook: ChaosHook = Arc::new(|ctx: &ChaosCtx| {
             (ctx.item == 1).then(|| ChaosAction::Panic("chaos: persistent fault".into()))

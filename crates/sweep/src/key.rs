@@ -119,11 +119,11 @@ pub fn kernel_key(request: &KernelRequest) -> Key {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_dse::experiments::{KernelShape, Residency};
+    use soc_dse::experiments::{KernelShape, Residency, Scenario};
     use soc_dse::platform::Platform;
 
     fn solve_req(horizon: usize) -> SolveRequest {
-        SolveRequest::hover(Platform::rocket_eigen(), horizon)
+        SolveRequest::new(Platform::rocket_eigen(), Scenario::hover(), horizon)
     }
 
     #[test]
@@ -138,12 +138,14 @@ mod tests {
     fn platform_config_is_keyed() {
         use soc_cpu::CoreConfig;
         use soc_vector::SaturnConfig;
-        let a = SolveRequest::hover(
+        let a = SolveRequest::new(
             Platform::saturn(CoreConfig::rocket(), SaturnConfig::v512d128()),
+            Scenario::hover(),
             10,
         );
-        let b = SolveRequest::hover(
+        let b = SolveRequest::new(
             Platform::saturn(CoreConfig::rocket(), SaturnConfig::v512d256()),
+            Scenario::hover(),
             10,
         );
         assert_ne!(solve_key(&a), solve_key(&b));
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn scenario_is_keyed() {
-        use soc_dse::experiments::{Scenario, ScenarioCatalog};
+        use soc_dse::experiments::ScenarioCatalog;
         let platform = Platform::rocket_eigen();
         // Every catalog scenario (and a random-family member) must key
         // distinctly at the same platform and horizon, for both solve
@@ -202,7 +204,7 @@ mod tests {
                 );
             }
         }
-        let hover = SolveRequest::hover(platform.clone(), 10);
+        let hover = SolveRequest::new(platform.clone(), Scenario::hover(), 10);
         let fig8 = SolveRequest::new(platform, Scenario::figure8(), 10);
         assert_ne!(bounds_key(&hover), bounds_key(&fig8));
     }
@@ -223,8 +225,8 @@ mod tests {
     fn renaming_a_platform_keeps_its_key() {
         let mut renamed = Platform::rocket_eigen();
         renamed.name = "Rocket (marketing name)".into();
-        let a = SolveRequest::hover(Platform::rocket_eigen(), 10);
-        let b = SolveRequest::hover(renamed, 10);
+        let a = SolveRequest::new(Platform::rocket_eigen(), Scenario::hover(), 10);
+        let b = SolveRequest::new(renamed, Scenario::hover(), 10);
         assert_eq!(
             solve_key(&a),
             solve_key(&b),
@@ -245,8 +247,8 @@ mod tests {
                     a.name,
                     b.name
                 );
-                let ka = solve_key(&SolveRequest::hover(a.clone(), 10));
-                let kb = solve_key(&SolveRequest::hover(b.clone(), 10));
+                let ka = solve_key(&SolveRequest::new(a.clone(), Scenario::hover(), 10));
+                let kb = solve_key(&SolveRequest::new(b.clone(), Scenario::hover(), 10));
                 assert_ne!(ka, kb, "{} and {} collide", a.name, b.name);
             }
         }

@@ -21,9 +21,9 @@
 //! (`drain_batch`, driven through the [`BatchJob`] trait) and is
 //! shared by two front ends:
 //!
-//! * [`run_sharded`] / [`run_sharded_isolated`] — the historical
-//!   one-shot entry points over a borrowed item slice, used by the
-//!   sweep engine. Scoped threads, spawned per batch.
+//! * [`run_sharded_isolated`] — the one-shot entry point over a
+//!   borrowed item slice, used by the sweep engine. Scoped threads,
+//!   spawned per batch.
 //! * [`TickExecutor`] — a long-lived pool whose workers park between
 //!   batches, built for recurring tick submission (the `soc-serve`
 //!   session runtime submits the same job object thousands of times).
@@ -317,36 +317,6 @@ where
     (results, stats)
 }
 
-/// Runs `f` over every item on `jobs` worker threads and returns the
-/// results **in item order** plus per-shard statistics.
-///
-/// Determinism contract: as long as `f` is a pure function of its item,
-/// the returned vector is identical for every `jobs >= 1`. Only
-/// [`ShardStats`] (timing, per-shard item counts) vary with scheduling.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` (with its stringified payload) after the
-/// whole batch has drained — use [`run_sharded_isolated`] to handle
-/// failures per item instead.
-pub fn run_sharded<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<R>, Vec<ShardStats>)
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, stats) =
-        run_sharded_isolated(jobs, items, RetryPolicy::no_retry(), |_, _, item| f(item));
-    let results = results
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(value) => value,
-            Err(failure) => panic!("work item {} panicked: {}", failure.item, failure.payload),
-        })
-        .collect();
-    (results, stats)
-}
-
 /// Shared coordination state between a [`TickExecutor`] and its parked
 /// workers.
 struct TickShared {
@@ -515,9 +485,10 @@ mod tests {
     #[test]
     fn results_are_in_item_order_for_any_job_count() {
         let items: Vec<u64> = (0..97).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        let expected: Vec<Result<u64, ShardFailure>> = items.iter().map(|x| Ok(x * x)).collect();
         for jobs in [1, 2, 4, 16, 128] {
-            let (got, stats) = run_sharded(jobs, &items, |x| x * x);
+            let (got, stats) =
+                run_sharded_isolated(jobs, &items, RetryPolicy::no_retry(), |_, _, x| x * x);
             assert_eq!(got, expected, "jobs={jobs}");
             assert_eq!(stats.iter().map(|s| s.items).sum::<usize>(), items.len());
             assert_eq!(stats.len(), jobs.min(items.len()));
@@ -526,7 +497,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let (got, stats) = run_sharded::<u8, u8, _>(8, &[], |x| *x);
+        let (got, stats) =
+            run_sharded_isolated::<u8, u8, _>(8, &[], RetryPolicy::no_retry(), |_, _, x| *x);
         assert!(got.is_empty());
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].items, 0);
@@ -534,8 +506,9 @@ mod tests {
 
     #[test]
     fn pool_never_spawns_more_shards_than_items() {
-        let (got, stats) = run_sharded(16, &[1, 2], |x| x + 1);
-        assert_eq!(got, vec![2, 3]);
+        let (got, stats) =
+            run_sharded_isolated(16, &[1, 2], RetryPolicy::no_retry(), |_, _, x| x + 1);
+        assert_eq!(got, vec![Ok(2), Ok(3)]);
         assert_eq!(stats.len(), 2);
     }
 
@@ -650,20 +623,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 4, "budget respected");
         assert_eq!(got[0].as_ref().unwrap_err().attempts, 4);
-    }
-
-    #[test]
-    fn run_sharded_reraises_after_draining() {
-        let result = catch_unwind(|| {
-            run_sharded(2, &[1u8, 2, 3], |x| {
-                if *x == 2 {
-                    panic!("boom");
-                }
-                *x
-            })
-        });
-        let payload = result.unwrap_err();
-        assert!(payload_string(payload.as_ref()).contains("boom"));
     }
 
     #[test]

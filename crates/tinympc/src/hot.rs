@@ -413,9 +413,7 @@ impl<T: Scalar> AdmmSolver<T> {
     ///
     /// The applied control is readable afterwards via
     /// [`AdmmSolver::u0`]; the per-kernel cycle table via
-    /// [`AdmmSolver::last_kernel_cycles`]. The allocating
-    /// [`AdmmSolver::solve_observed`] wraps this entry point and
-    /// packages both into a [`crate::SolveResult`].
+    /// [`AdmmSolver::last_kernel_cycles`].
     ///
     /// # Errors
     ///

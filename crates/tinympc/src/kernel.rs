@@ -154,13 +154,12 @@ impl KernelId {
     }
 }
 
-/// Fixed-size per-kernel cycle table: the allocation-free counterpart of
-/// the `BTreeMap<KernelId, u64>` in [`crate::SolveResult`].
+/// Fixed-size per-kernel cycle table of one solve: plain `Copy` data,
+/// filled without allocating.
 ///
 /// Tracks which kernels were *charged* separately from their cycle
 /// counts so that a kernel charged at zero cycles (an ideal accelerator)
-/// still appears in [`KernelCycles::to_map`], matching the legacy
-/// accounting exactly.
+/// still appears in [`KernelCycles::iter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCycles {
     counts: [u64; 15],
@@ -201,14 +200,13 @@ impl KernelCycles {
         self.counts.iter().sum()
     }
 
-    /// Expands into the map form used by [`crate::SolveResult`]: one
-    /// entry per *charged* kernel.
-    pub fn to_map(&self) -> std::collections::BTreeMap<KernelId, u64> {
+    /// `(kernel, cycles)` for every *charged* kernel, in
+    /// [`KernelId::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (KernelId, u64)> + '_ {
         KernelId::ALL
-            .iter()
+            .into_iter()
             .filter(|k| self.charged & (1 << k.index()) != 0)
-            .map(|&k| (k, self.get(k)))
-            .collect()
+            .map(|k| (k, self.get(k)))
     }
 }
 
@@ -342,18 +340,20 @@ mod tests {
     #[test]
     fn kernel_cycles_tracks_zero_cycle_charges() {
         let mut t = KernelCycles::new();
-        assert!(t.to_map().is_empty());
+        assert_eq!(t.iter().count(), 0);
+        t.add(KernelId::UpdateSlack1, 0);
         t.add(KernelId::ForwardPass1, 10);
         t.add(KernelId::ForwardPass1, 5);
-        t.add(KernelId::UpdateSlack1, 0);
         assert_eq!(t.get(KernelId::ForwardPass1), 15);
         assert_eq!(t.total(), 15);
-        let map = t.to_map();
-        assert_eq!(map.len(), 2);
-        assert_eq!(map[&KernelId::ForwardPass1], 15);
-        assert_eq!(map[&KernelId::UpdateSlack1], 0);
+        let charged: Vec<_> = t.iter().collect();
+        assert_eq!(
+            charged,
+            [(KernelId::ForwardPass1, 15), (KernelId::UpdateSlack1, 0)],
+            "charged kernels only, in KernelId::ALL order"
+        );
         t.reset();
-        assert!(t.to_map().is_empty());
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub use hot::SolverDims;
 pub use kernel::{KernelClass, KernelCycles, KernelId, KernelProfile, ProblemDims};
 pub use problem::TinyMpcProblem;
 pub use solver::{
-    AdmmSolver, NullObserver, SolveObserver, SolveResult, SolveStatus, SolverSettings,
-    TerminationCause,
+    AdmmSolver, NullObserver, SolveObserver, SolveStatus, SolverSettings, TerminationCause,
 };
 pub use workspace::{TinyMpcWorkspace, WsField};
 

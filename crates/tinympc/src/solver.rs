@@ -2,12 +2,8 @@
 
 use crate::kernel::KernelCycles;
 use crate::workspace::WsField;
-use crate::{
-    KernelExecutor, KernelId, ProblemDims, Result, SolverDims, TinyMpcCache, TinyMpcProblem,
-    TinyMpcWorkspace,
-};
+use crate::{ProblemDims, Result, SolverDims, TinyMpcCache, TinyMpcProblem, TinyMpcWorkspace};
 use matlib::{Scalar, Vector};
-use std::collections::BTreeMap;
 
 /// Convergence and iteration settings.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +68,7 @@ impl std::fmt::Display for TerminationCause {
 ///
 /// Plain `Copy` data: the applied control stays staged in the solver's
 /// arena ([`AdmmSolver::u0`]) and the per-kernel cycle table in
-/// [`AdmmSolver::last_kernel_cycles`]. The allocating
-/// [`AdmmSolver::solve_observed`] packages all three into a [`SolveResult`].
+/// [`AdmmSolver::last_kernel_cycles`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStatus {
     /// Whether all residuals fell below tolerance.
@@ -87,27 +82,6 @@ pub struct SolveStatus {
     pub residuals: (f64, f64, f64, f64),
     /// Total simulated cycles charged by the executor (including setup).
     pub total_cycles: u64,
-}
-
-/// Outcome of one MPC solve.
-#[derive(Debug, Clone)]
-pub struct SolveResult<T> {
-    /// Whether all residuals fell below tolerance.
-    pub converged: bool,
-    /// Why the iteration stopped.
-    pub termination: TerminationCause,
-    /// ADMM iterations performed.
-    pub iterations: usize,
-    /// First control input of the optimized trajectory (apply this to the
-    /// plant).
-    pub u0: Vector<T>,
-    /// Final primal/dual residuals `(primal_state, dual_state,
-    /// primal_input, dual_input)`.
-    pub residuals: (f64, f64, f64, f64),
-    /// Total simulated cycles charged by the executor (including setup).
-    pub total_cycles: u64,
-    /// Simulated cycles per kernel.
-    pub kernel_cycles: BTreeMap<KernelId, u64>,
 }
 
 /// Hook invoked between ADMM iterations with mutable access to the
@@ -287,32 +261,6 @@ impl<T: Scalar> AdmmSolver<T> {
         Ok(())
     }
 
-    /// Runs [`solve_in_place_observed`](Self::solve_in_place_observed)
-    /// and packages the staged control and per-kernel cycle table into
-    /// an allocated [`SolveResult`] (report edges, tests, fault
-    /// campaigns; the hot path reads the arena instead).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve_in_place`](Self::solve_in_place).
-    pub fn solve_observed(
-        &mut self,
-        x0: &Vector<T>,
-        executor: &mut dyn KernelExecutor,
-        observer: &mut dyn SolveObserver<T>,
-    ) -> Result<SolveResult<T>> {
-        let status = self.solve_in_place_observed(x0.as_slice(), executor, observer)?;
-        Ok(SolveResult {
-            converged: status.converged,
-            termination: status.termination,
-            iterations: status.iterations,
-            u0: Vector::from_slice(self.workspace.u0()),
-            residuals: status.residuals,
-            total_cycles: status.total_cycles,
-            kernel_cycles: self.last_kernel_cycles.to_map(),
-        })
-    }
-
     /// Problem dimensions (convenience).
     pub fn dims(&self) -> ProblemDims {
         self.problem.dims()
@@ -322,27 +270,29 @@ impl<T: Scalar> AdmmSolver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{problems, KernelExecutor, NullExecutor};
+    use crate::{problems, KernelExecutor, KernelId, NullExecutor};
 
-    /// The packaging path under test: `solve_observed` with no observer.
+    /// One solve from `x0`: its status and a copy of the applied
+    /// control.
     fn solve<T: Scalar>(
         s: &mut AdmmSolver<T>,
         x0: &[T],
         exec: &mut dyn KernelExecutor,
-    ) -> Result<SolveResult<T>> {
-        s.solve_observed(&Vector::from_slice(x0), exec, &mut NullObserver)
+    ) -> Result<(SolveStatus, Vector<T>)> {
+        let status = s.solve_in_place(x0, exec)?;
+        Ok((status, Vector::from_slice(s.u0())))
     }
 
-    fn solve_di(x0: &[f64]) -> (SolveResult<f64>, AdmmSolver<f64>) {
+    fn solve_di(x0: &[f64]) -> (SolveStatus, Vector<f64>, AdmmSolver<f64>) {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        let r = solve(&mut s, x0, &mut NullExecutor).unwrap();
-        (r, s)
+        let (r, u0) = solve(&mut s, x0, &mut NullExecutor).unwrap();
+        (r, u0, s)
     }
 
     #[test]
     fn converges_on_double_integrator() {
-        let (r, s) = solve_di(&[1.0, 0.0]);
+        let (r, _, s) = solve_di(&[1.0, 0.0]);
         assert!(r.converged, "residuals {:?}", r.residuals);
         assert!(s.workspace().is_finite());
     }
@@ -367,13 +317,13 @@ mod tests {
         )
         .unwrap();
         let x0 = Vector::from_slice(&[0.1, 0.0]);
-        let r = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
+        let (r, u0) = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         assert!(r.converged);
         let u_lqr = -(k_true[(0, 0)] * x0[0] + k_true[(0, 1)] * x0[1]);
         assert!(
-            (r.u0[0] - u_lqr).abs() < 0.02 * u_lqr.abs().max(0.01),
+            (u0[0] - u_lqr).abs() < 0.02 * u_lqr.abs().max(0.01),
             "MPC u0 {} vs LQR {}",
-            r.u0[0],
+            u0[0],
             u_lqr
         );
         let _ = nx;
@@ -383,14 +333,14 @@ mod tests {
     fn constraints_are_respected() {
         // Large initial offset: the LQR input would exceed the bound, so
         // the slack projection must saturate.
-        let (r, s) = solve_di(&[50.0, 0.0]);
+        let (_, u0, s) = solve_di(&[50.0, 0.0]);
         let p = s.problem();
-        assert!(r.u0[0] >= p.u_min - 1e-9 && r.u0[0] <= p.u_max + 1e-9);
+        assert!(u0[0] >= p.u_min - 1e-9 && u0[0] <= p.u_max + 1e-9);
         // And it should be pinned at a bound.
         assert!(
-            (r.u0[0] - p.u_min).abs() < 1e-6 || (r.u0[0] - p.u_max).abs() < 1e-6,
+            (u0[0] - p.u_min).abs() < 1e-6 || (u0[0] - p.u_max).abs() < 1e-6,
             "expected saturation, got {}",
-            r.u0[0]
+            u0[0]
         );
     }
 
@@ -403,10 +353,10 @@ mod tests {
         let mut x = s.problem().hover_offset_state(0.3);
         let mut worst_iterations = 0;
         for _step in 0..400 {
-            let r = solve(&mut s, x.as_slice(), &mut NullExecutor).unwrap();
+            let (r, u0) = solve(&mut s, x.as_slice(), &mut NullExecutor).unwrap();
             worst_iterations = worst_iterations.max(r.iterations);
             let ax = a.matvec(&x).unwrap();
-            let bu = b.matvec(&r.u0).unwrap();
+            let bu = b.matvec(&u0).unwrap();
             x = ax.add(&bu).unwrap();
             assert!(x.is_finite(), "state diverged");
         }
@@ -419,10 +369,10 @@ mod tests {
         let p = problems::quadrotor_hover::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = s.problem().hover_offset_state(0.2);
-        let cold = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
+        let (cold, _) = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         // Slightly perturbed re-solve with warm duals.
         let x1 = s.problem().hover_offset_state(0.19);
-        let warm = solve(&mut s, x1.as_slice(), &mut NullExecutor).unwrap();
+        let (warm, _) = solve(&mut s, x1.as_slice(), &mut NullExecutor).unwrap();
         assert!(
             warm.iterations <= cold.iterations,
             "warm {} vs cold {}",
@@ -437,14 +387,14 @@ mod tests {
         let p32 = problems::double_integrator::<f32>(15).unwrap();
         let mut s64 = AdmmSolver::new(p64, SolverSettings::default()).unwrap();
         let mut s32 = AdmmSolver::new(p32, SolverSettings::default()).unwrap();
-        let r64 = solve(&mut s64, &[2.0, -0.5], &mut NullExecutor).unwrap();
-        let r32 = solve(&mut s32, &[2.0f32, -0.5], &mut NullExecutor).unwrap();
+        let (r64, u64_) = solve(&mut s64, &[2.0, -0.5], &mut NullExecutor).unwrap();
+        let (r32, u32_) = solve(&mut s32, &[2.0f32, -0.5], &mut NullExecutor).unwrap();
         assert!(r64.converged && r32.converged);
         assert!(
-            (r64.u0[0] - r32.u0[0] as f64).abs() < 1e-3,
+            (u64_[0] - u32_[0] as f64).abs() < 1e-3,
             "f64 {} vs f32 {}",
-            r64.u0[0],
-            r32.u0[0]
+            u64_[0],
+            u32_[0]
         );
     }
 
@@ -467,7 +417,7 @@ mod tests {
     fn cycle_accounting_is_exact() {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
-        let r = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
+        let (r, _) = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
         let n = 10;
         let iters = r.iterations as u64;
         // Per iteration: 4 iterative kernels × (N−1) + UpdateLinearCost4
@@ -494,22 +444,19 @@ mod tests {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[0.0, 0.0]);
-        let rest = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
+        let (_, rest) = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
         // Now ask to move to position 1.
         let target = Vector::from_slice(&[1.0, 0.0]);
         let xref: Vec<_> = (0..20).map(|_| target.clone()).collect();
         s.set_reference(&xref).unwrap();
         s.cold_start();
-        let track = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
-        assert!(
-            track.u0[0] > rest.u0[0] + 1e-3,
-            "tracking should push forward"
-        );
+        let (_, track) = solve(&mut s, x0.as_slice(), &mut NullExecutor).unwrap();
+        assert!(track[0] > rest[0] + 1e-3, "tracking should push forward");
     }
 
     #[test]
     fn termination_cause_reported() {
-        let (r, _) = solve_di(&[1.0, 0.0]);
+        let (r, _, _) = solve_di(&[1.0, 0.0]);
         assert_eq!(r.termination, TerminationCause::Converged);
         let p = problems::double_integrator::<f64>(20).unwrap();
         let settings = SolverSettings {
@@ -518,7 +465,7 @@ mod tests {
             ..Default::default()
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
-        let r = solve(&mut s, &[5.0, 0.0], &mut NullExecutor).unwrap();
+        let (r, _) = solve(&mut s, &[5.0, 0.0], &mut NullExecutor).unwrap();
         assert_eq!(r.termination, TerminationCause::MaxIterations);
         assert!(!r.converged);
     }
@@ -528,7 +475,7 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[50.0, 0.0]);
-        let full = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
+        let (full, _) = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
         assert!(full.iterations > 2, "need a multi-iteration baseline");
 
         // Budget for roughly two iterations: the solve must stop on the
@@ -540,11 +487,11 @@ mod tests {
         };
         let mut s =
             AdmmSolver::new(problems::double_integrator::<f64>(10).unwrap(), settings).unwrap();
-        let r = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
+        let (r, u0) = solve(&mut s, x0.as_slice(), &mut UnitExecutor).unwrap();
         assert_eq!(r.termination, TerminationCause::Deadline);
         assert!(r.iterations < full.iterations);
         assert!(r.total_cycles <= budget, "predictive stop overran");
-        assert!(r.u0.is_finite());
+        assert!(u0.is_finite());
     }
 
     #[test]
@@ -555,10 +502,10 @@ mod tests {
             ..Default::default()
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
-        let r = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
+        let (r, u0) = solve(&mut s, &[1.0, 0.0], &mut UnitExecutor).unwrap();
         assert_eq!(r.iterations, 1);
         assert_eq!(r.termination, TerminationCause::Deadline);
-        assert!(r.u0.is_finite());
+        assert!(u0.is_finite());
     }
 
     /// Injects a huge value into a dual variable at a chosen iteration.
@@ -591,16 +538,12 @@ mod tests {
         let mut s = AdmmSolver::new(p, settings).unwrap();
         let mut blast = DualBlast { at: 2, value: 1e30 };
         let r = s
-            .solve_observed(
-                &Vector::from_slice(&[1.0, 0.0]),
-                &mut NullExecutor,
-                &mut blast,
-            )
+            .solve_in_place_observed(&[1.0, 0.0], &mut NullExecutor, &mut blast)
             .unwrap();
         assert_eq!(r.termination, TerminationCause::Diverged);
         // The applied control still comes from the clipped slack, so it
         // stays finite even though the iterates exploded.
-        assert!(r.u0.is_finite());
+        assert!(s.u0().iter().all(|u| u.is_finite()));
     }
 
     /// Flips the pinned initial state mid-solve.
@@ -624,11 +567,7 @@ mod tests {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let err = s
-            .solve_observed(
-                &Vector::from_slice(&[1.0, 0.0]),
-                &mut NullExecutor,
-                &mut X0Flip,
-            )
+            .solve_in_place_observed(&[1.0, 0.0], &mut NullExecutor, &mut X0Flip)
             .unwrap_err();
         assert!(matches!(err, crate::Error::CorruptedWorkspace { .. }));
     }

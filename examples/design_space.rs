@@ -5,10 +5,10 @@
 //! cargo run --example design_space --release
 //! ```
 
-use soc_dse_repro::soc_dse::experiments::{pareto_frontier, table1};
+use soc_dse_repro::soc_dse::experiments::{pareto_frontier, table1_with, Scenario, SerialSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rows = table1(10)?;
+    let mut rows = table1_with(&SerialSource, &Scenario::hover(), 10)?;
     rows.sort_by(|a, b| a.area_um2.total_cmp(&b.area_um2));
     let frontier = pareto_frontier(
         &rows

@@ -10,7 +10,7 @@ use std::time::Instant;
 use soc_dse_repro::matlib;
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::experiments::{
-    kernel_breakdown, standalone_kernel, KernelShape, Residency,
+    solve_scenario_summary, standalone_kernel, KernelShape, Residency, Scenario,
 };
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_gemmini::{GemminiConfig, GemminiOpts};
@@ -45,9 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("Per-kernel cycles for one TinyMPC solve (quadrotor, N=10):\n");
-    let br = kernel_breakdown(&rocket, 10)?;
-    let bs = kernel_breakdown(&saturn, 10)?;
-    let bg = kernel_breakdown(&gemmini, 10)?;
+    let br = solve_scenario_summary(&rocket, &Scenario::hover(), 10)?.kernel_cycles;
+    let bs = solve_scenario_summary(&saturn, &Scenario::hover(), 10)?.kernel_cycles;
+    let bg = solve_scenario_summary(&gemmini, &Scenario::hover(), 10)?.kernel_cycles;
     println!(
         "{:<24} {:>10} {:>10} {:>10}",
         "kernel", "Rocket", "Saturn", "Gemmini"
@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<24} {:>10} {:>10} {:>10}",
             k.to_string(),
-            br.get(&k).copied().unwrap_or(0),
-            bs.get(&k).copied().unwrap_or(0),
-            bg.get(&k).copied().unwrap_or(0),
+            br.get(k),
+            bs.get(k),
+            bg.get(k),
         );
     }
 

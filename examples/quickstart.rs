@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use soc_dse_repro::soc_dse::experiments::solve_cycles;
+use soc_dse_repro::soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::tinympc::{problems, AdmmSolver, NullExecutor, SolverSettings};
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Platform::rocket_eigen(),
         Platform::table1_registry().remove(6),
     ] {
-        let outcome = solve_cycles(&platform, 10)?;
+        let summary = solve_scenario_summary(&platform, &Scenario::hover(), 10)?;
         let mut priced = AdmmSolver::new(
             problems::quadrotor_hover::<f64>(10)?,
             SolverSettings::default(),
@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<24} {:>8} cycles/solve  -> {:>6.0} MPC Hz at 1 GHz  (area {:.3} mm^2; host {host_ns} ns/solve)",
             platform.name,
-            outcome.result.total_cycles,
-            1.0e9 / outcome.result.total_cycles as f64,
+            summary.total_cycles,
+            1.0e9 / summary.total_cycles as f64,
             platform.area().total_mm2(),
         );
     }

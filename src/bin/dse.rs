@@ -17,15 +17,12 @@ use soc_dse_repro::soc_codegen::{tune, TuningSpace};
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::energy::{solve_energy, EnergyParams};
 use soc_dse_repro::soc_dse::experiments::{
-    kernel_breakdown, pareto_frontier, solve_cycles, table1_scenario_with, table1_with, Scenario,
-    ScenarioCatalog, Table1Row,
+    pareto_frontier, solve_scenario_summary, table1_with, Scenario, ScenarioCatalog, Table1Row,
 };
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_dse::report::markdown_table;
 use soc_dse_repro::soc_dse::verify::{shipped_configurations, verify_platform};
-use soc_dse_repro::soc_faults::{
-    recoverable_strikes, run_campaign_scenario, run_chaos, CampaignKind,
-};
+use soc_dse_repro::soc_faults::{recoverable_strikes, run_campaign, run_chaos, CampaignKind};
 use soc_dse_repro::soc_gemmini::GemminiConfig;
 use soc_dse_repro::soc_serve::{run_bench, BenchConfig};
 use soc_dse_repro::soc_sweep::{run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
@@ -166,7 +163,7 @@ fn table1_rows() -> Result<Vec<Table1Row>, String> {
     // Table I submits through the sweep engine: one batch, sharded
     // across cores. Results are bit-identical to the serial path.
     let engine = SweepEngine::in_memory(default_jobs());
-    table1_with(&engine, 10).map_err(|e| e.to_string())
+    table1_with(&engine, &Scenario::hover(), 10).map_err(|e| e.to_string())
 }
 
 fn find_scenario(args: &[String]) -> Result<Scenario, String> {
@@ -265,7 +262,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "table1" => {
             let scenario = find_scenario(args)?;
             let engine = SweepEngine::in_memory(default_jobs());
-            let rows = table1_scenario_with(&engine, &scenario, 10).map_err(|e| e.to_string())?;
+            let rows = table1_with(&engine, &scenario, 10).map_err(|e| e.to_string())?;
             let table: Vec<Vec<String>> = rows
                 .iter()
                 .map(|r| {
@@ -566,26 +563,28 @@ fn run(args: &[String]) -> Result<(), String> {
                 .transpose()?
                 .unwrap_or(10);
             let platform = find_platform(&name)?;
-            let o = solve_cycles(&platform, horizon).map_err(|e| e.to_string())?;
+            let s = solve_scenario_summary(&platform, &Scenario::hover(), horizon)
+                .map_err(|e| e.to_string())?;
             println!(
                 "{}: converged={} in {} iterations\n{} cycles/solve -> {:.0} MPC Hz at 1 GHz",
                 platform.name,
-                o.result.converged,
-                o.result.iterations,
-                o.result.total_cycles,
-                1.0e9 / o.result.total_cycles as f64
+                s.converged,
+                s.iterations,
+                s.total_cycles,
+                1.0e9 / s.total_cycles as f64
             );
             Ok(())
         }
         "kernels" => {
             let name = flag(args, "--platform").ok_or("kernels requires --platform NAME")?;
             let platform = find_platform(&name)?;
-            let breakdown = kernel_breakdown(&platform, 10).map_err(|e| e.to_string())?;
-            let total: u64 = breakdown.values().sum();
-            let rows: Vec<Vec<String>> = KernelId::ALL
+            let breakdown = solve_scenario_summary(&platform, &Scenario::hover(), 10)
+                .map_err(|e| e.to_string())?
+                .kernel_cycles;
+            let total = breakdown.total();
+            let rows: Vec<Vec<String>> = breakdown
                 .iter()
-                .map(|k| {
-                    let c = breakdown.get(k).copied().unwrap_or(0);
+                .map(|(k, c)| {
                     vec![
                         k.to_string(),
                         c.to_string(),
@@ -725,7 +724,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(other) => return Err(format!("unknown campaign `{other}`")),
             };
             let scenario = find_scenario(args)?;
-            let report = run_campaign_scenario(seed, kind, &scenario).map_err(|e| e.to_string())?;
+            let report = run_campaign(seed, kind, &scenario).map_err(|e| e.to_string())?;
             println!("{}", report.render());
             if gate {
                 let sdc = report.scalar_sdc();

@@ -22,7 +22,9 @@
 
 use soc_dse_repro::soc_backend::{pipeline_for, BoundClaim};
 use soc_dse_repro::soc_bounds::{kernel_bounds, setup_bounds, solve_bounds, standalone_bounds};
-use soc_dse_repro::soc_dse::experiments::{solve_cycles, KernelShape, Residency};
+use soc_dse_repro::soc_dse::experiments::{
+    solve_scenario_summary, KernelShape, Residency, Scenario,
+};
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_sweep::{run_sweep, run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
 use soc_dse_repro::tinympc::{KernelId, ProblemDims};
@@ -134,9 +136,10 @@ fn solve_bounds_bracket_the_trace_priced_solve() {
             .expect("SmallBoom is registered"),
     );
     for platform in &platforms {
-        let interval = solve_bounds(platform, 6).unwrap();
-        let outcome = solve_cycles(platform, 6).unwrap();
-        let simulated = outcome.result.total_cycles;
+        let interval = solve_bounds(platform, &Scenario::hover(), 6).unwrap();
+        let simulated = solve_scenario_summary(platform, &Scenario::hover(), 6)
+            .unwrap()
+            .total_cycles;
         assert!(
             interval.contains(simulated),
             "{}: solve total {simulated} outside {interval}",

@@ -20,10 +20,7 @@
 use soc_dse_repro::matlib::rng::SplitMix64;
 use soc_dse_repro::matlib::{gemv, Matrix, Vector};
 use soc_dse_repro::soc_cpu::CoreConfig;
-use soc_dse_repro::soc_dse::experiments::Scenario;
-use soc_dse_repro::soc_dse::experiments::{
-    solve_problem_cycles, solve_scenario_cycles, ScenarioCatalog,
-};
+use soc_dse_repro::soc_dse::experiments::{Scenario, ScenarioCatalog};
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_dse_repro::soc_riscv::{assemble, Machine};
@@ -233,6 +230,22 @@ fn problem_set() -> Vec<(&'static str, TinyMpcProblem<f32>)> {
     ]
 }
 
+/// Solves `problem` from a 0.2 hover offset on `platform`, returning
+/// `(status, u0)`.
+fn solve_problem(
+    platform: &Platform,
+    problem: TinyMpcProblem<f32>,
+    settings: SolverSettings,
+    name: &str,
+) -> (SolveStatus, Vec<f32>) {
+    let mut solver = AdmmSolver::new(problem, settings).unwrap();
+    let x0 = solver.problem().hover_offset_state(0.2);
+    let status = solver
+        .solve_in_place(x0.as_slice(), platform.executor().as_mut())
+        .unwrap_or_else(|e| panic!("{name} on {}: {e:?}", platform.name));
+    (status, solver.u0().to_vec())
+}
+
 /// Layer 2 at full width: every registered scenario, solved on every
 /// registered Table-I back-end, must reproduce the scalar reference's
 /// control **bit-for-bit** (same [`U0_TOLERANCE`] = 0.0 contract as
@@ -246,32 +259,25 @@ fn every_scenario_agrees_with_scalar_solve_on_every_backend() {
     let registry = Platform::table1_registry();
     for scenario in ScenarioCatalog::standard().scenarios() {
         let horizon = scenario.default_horizon();
-        let reference = solve_scenario_cycles(&scalar, scenario, horizon)
-            .unwrap_or_else(|e| panic!("{}: scalar solve failed: {e:?}", scenario.name()));
+        let (reference, reference_u0) = solve_with_spec(scenario, horizon, &scalar, false);
         for platform in &registry {
-            let outcome = solve_scenario_cycles(platform, scenario, horizon).unwrap_or_else(|e| {
-                panic!(
-                    "{} on {}: solve failed: {e:?}",
-                    scenario.name(),
-                    platform.name
-                )
-            });
+            let (outcome, u0) = solve_with_spec(scenario, horizon, platform, false);
             assert_eq!(
-                outcome.result.converged,
-                reference.result.converged,
+                outcome.converged,
+                reference.converged,
                 "{} on {}: convergence disagrees",
                 scenario.name(),
                 platform.name
             );
             assert_eq!(
-                outcome.result.iterations,
-                reference.result.iterations,
+                outcome.iterations,
+                reference.iterations,
                 "{} on {}: iteration count disagrees",
                 scenario.name(),
                 platform.name
             );
-            for i in 0..reference.result.u0.len() {
-                let diff = (outcome.result.u0[i] - reference.result.u0[i]).abs();
+            for i in 0..reference_u0.len() {
+                let diff = (u0[i] - reference_u0[i]).abs();
                 assert!(
                     diff <= U0_TOLERANCE,
                     "{} on {}: u0[{i}] off by {diff} (tolerance {U0_TOLERANCE})",
@@ -296,29 +302,27 @@ fn accelerated_executors_agree_with_scalar_solve() {
     ];
     for (name, problem) in problem_set() {
         let settings = SolverSettings::default();
-        let reference = solve_problem_cycles(&scalar, problem.clone(), settings)
-            .unwrap_or_else(|e| panic!("{name}: scalar solve failed: {e:?}"));
+        let (reference, reference_u0) = solve_problem(&scalar, problem.clone(), settings, name);
         for platform in &accelerated {
-            let outcome = solve_problem_cycles(platform, problem.clone(), settings)
-                .unwrap_or_else(|e| panic!("{name}: {} solve failed: {e:?}", platform.name));
+            let (outcome, u0) = solve_problem(platform, problem.clone(), settings, name);
             assert_eq!(
-                outcome.result.converged, reference.result.converged,
+                outcome.converged, reference.converged,
                 "{name}: {} convergence disagrees",
                 platform.name
             );
             assert_eq!(
-                outcome.result.iterations, reference.result.iterations,
+                outcome.iterations, reference.iterations,
                 "{name}: {} iteration count disagrees",
                 platform.name
             );
             assert_eq!(
-                outcome.result.u0.len(),
-                reference.result.u0.len(),
+                u0.len(),
+                reference_u0.len(),
                 "{name}: {} control dimension disagrees",
                 platform.name
             );
-            for i in 0..reference.result.u0.len() {
-                let diff = (outcome.result.u0[i] - reference.result.u0[i]).abs();
+            for i in 0..reference_u0.len() {
+                let diff = (u0[i] - reference_u0[i]).abs();
                 assert!(
                     diff <= U0_TOLERANCE,
                     "{name}: {} u0[{i}] off by {diff} (tolerance {U0_TOLERANCE})",
@@ -328,8 +332,8 @@ fn accelerated_executors_agree_with_scalar_solve() {
         }
         // The agreed-on solution must also be a *good* one when the
         // solver reports convergence.
-        if reference.result.converged {
-            let (pri_x, dual_x, pri_u, dual_u) = reference.result.residuals;
+        if reference.converged {
+            let (pri_x, dual_x, pri_u, dual_u) = reference.residuals;
             let tol = settings.tolerance;
             for (which, r) in [
                 ("primal/state", pri_x),
@@ -366,14 +370,12 @@ fn solve_with_spec(
     platform: &Platform,
     force_dynamic: bool,
 ) -> (SolveStatus, Vec<f32>) {
-    let problem = scenario.problem::<f32>(horizon).unwrap();
-    let mut solver = AdmmSolver::new(problem, SolverSettings::default()).unwrap();
+    let mut solver = scenario
+        .solver::<f32>(horizon, SolverSettings::default())
+        .unwrap();
     if force_dynamic {
         solver.set_specialization(SolverDims::Dynamic).unwrap();
     }
-    solver
-        .set_reference(&scenario.reference::<f32>(horizon, 0))
-        .unwrap();
     let x0 = scenario.initial_state::<f32>();
     let mut executor = platform.executor();
     let status = solver

@@ -1,10 +1,27 @@
 //! Cross-crate end-to-end tests: functional equivalence across executors,
 //! closed-loop behaviour, and accounting consistency.
 
-use soc_dse_repro::soc_dse::experiments::solve_cycles;
+use soc_dse_repro::soc_dse::experiments::{solve_scenario_summary, Scenario, SolveSummary};
 use soc_dse_repro::soc_dse::platform::Platform;
-use soc_dse_repro::soc_dse::workloads::figure8_reference;
-use soc_dse_repro::tinympc::{problems, AdmmSolver, KernelId, NullExecutor, SolverSettings};
+use soc_dse_repro::soc_scenarios::reference::figure8;
+use soc_dse_repro::tinympc::{
+    problems, AdmmSolver, KernelId, NullExecutor, SolveStatus, SolverSettings, TinyMpcProblem,
+};
+
+fn hover(platform: &Platform, horizon: usize) -> SolveSummary {
+    solve_scenario_summary(platform, &Scenario::hover(), horizon).unwrap()
+}
+
+/// Solves `problem` from a 0.2 hover offset on `platform`: the status
+/// and the applied control.
+fn solve_problem(platform: &Platform, problem: TinyMpcProblem<f32>) -> (SolveStatus, Vec<f32>) {
+    let mut solver = AdmmSolver::new(problem, SolverSettings::default()).unwrap();
+    let x0 = solver.problem().hover_offset_state(0.2);
+    let status = solver
+        .solve_in_place(x0.as_slice(), platform.executor().as_mut())
+        .unwrap();
+    (status, solver.u0().to_vec())
+}
 
 #[test]
 fn every_platform_converges_with_identical_trajectories() {
@@ -20,38 +37,34 @@ fn every_platform_converges_with_identical_trajectories() {
         (solver.u0().to_vec(), status.iterations)
     };
     for platform in Platform::table1_registry() {
-        let outcome = solve_cycles(&platform, 10).unwrap();
-        assert!(
-            outcome.result.converged,
-            "{} did not converge",
-            platform.name
-        );
+        let problem = problems::quadrotor_hover::<f32>(10).unwrap();
+        let (status, u0) = solve_problem(&platform, problem);
+        assert!(status.converged, "{} did not converge", platform.name);
         assert_eq!(
-            outcome.result.u0.as_slice(),
-            ref_u0.as_slice(),
+            u0, ref_u0,
             "{} changed the functional result",
             platform.name
         );
-        assert_eq!(outcome.result.iterations, ref_iterations);
-        assert!(outcome.result.total_cycles > 0);
+        assert_eq!(status.iterations, ref_iterations);
+        assert!(status.total_cycles > 0);
     }
 }
 
 #[test]
 fn kernel_cycles_sum_to_total_minus_setup() {
     for platform in Platform::table1_registry() {
-        let outcome = solve_cycles(&platform, 10).unwrap();
-        let sum: u64 = outcome.result.kernel_cycles.values().sum();
+        let summary = hover(&platform, 10);
+        let sum = summary.kernel_cycles.total();
         assert!(
-            sum <= outcome.result.total_cycles,
+            sum <= summary.total_cycles,
             "{}: kernel sum {sum} exceeds total {}",
             platform.name,
-            outcome.result.total_cycles
+            summary.total_cycles
         );
         // Setup (scratchpad preload) is the only non-kernel component.
-        let setup = outcome.result.total_cycles - sum;
+        let setup = summary.total_cycles - sum;
         assert!(
-            setup < outcome.result.total_cycles / 4,
+            setup < summary.total_cycles / 4,
             "{}: setup share suspiciously large ({setup})",
             platform.name
         );
@@ -60,12 +73,9 @@ fn kernel_cycles_sum_to_total_minus_setup() {
 
 #[test]
 fn all_fifteen_kernels_are_charged() {
-    let outcome = solve_cycles(&Platform::rocket_eigen(), 10).unwrap();
+    let kernel_cycles = hover(&Platform::rocket_eigen(), 10).kernel_cycles;
     for k in KernelId::ALL {
-        assert!(
-            outcome.result.kernel_cycles.get(&k).copied().unwrap_or(0) > 0,
-            "kernel {k} was never charged"
-        );
+        assert!(kernel_cycles.get(k) > 0, "kernel {k} was never charged");
     }
 }
 
@@ -73,8 +83,8 @@ fn all_fifteen_kernels_are_charged() {
 fn horizon_scaling_is_roughly_linear() {
     // The paper: MPC computation grows linearly with the horizon (the
     // cubic state-space growth is precomputed into the cache).
-    let c10 = solve_cycles(&Platform::rocket_eigen(), 10).unwrap();
-    let c20 = solve_cycles(&Platform::rocket_eigen(), 20).unwrap();
+    let c10 = hover(&Platform::rocket_eigen(), 10);
+    let c20 = hover(&Platform::rocket_eigen(), 20);
     let per_iter_10 = c10.cycles_per_iteration();
     let per_iter_20 = c20.cycles_per_iteration();
     let ratio = per_iter_20 / per_iter_10;
@@ -100,7 +110,7 @@ fn closed_loop_figure8_tracks_on_fastest_platform() {
     let mut x = solver.problem().hover_offset_state(0.0);
     let mut worst_err = 0.0f64;
     for step in 0..600 {
-        let xref = figure8_reference::<f32>(12, horizon, step, 0.01);
+        let xref = figure8::<f32>(12, horizon, step, 0.01);
         solver.set_reference(&xref).unwrap();
         solver
             .solve_in_place(x.as_slice(), executor.as_mut())
@@ -117,30 +127,22 @@ fn closed_loop_figure8_tracks_on_fastest_platform() {
 
 #[test]
 fn arbitrary_problems_price_on_any_platform() {
-    use soc_dse_repro::soc_dse::experiments::solve_problem_cycles;
-    use soc_dse_repro::tinympc::SolverSettings;
     let cartpole = problems::cartpole::<f32>(10).unwrap();
-    let rocket = solve_problem_cycles(
-        &Platform::rocket_eigen(),
-        cartpole.clone(),
-        SolverSettings::default(),
-    )
-    .unwrap();
+    let (rocket, _) = solve_problem(&Platform::rocket_eigen(), cartpole.clone());
     let registry = Platform::table1_registry();
     let saturn = registry
         .iter()
         .find(|p| p.name == "RefV512D256Shuttle")
         .unwrap();
-    let v = solve_problem_cycles(saturn, cartpole, SolverSettings::default()).unwrap();
-    assert!(rocket.result.converged && v.result.converged);
+    let (v, _) = solve_problem(saturn, cartpole);
+    assert!(rocket.converged && v.converged);
     // 4x1 kernels are tiny: Saturn's advantage over Rocket must shrink
     // well below its quadrotor-sized speedup (the workload-sensitivity
     // claim).
-    let quad_rocket = solve_cycles(&Platform::rocket_eigen(), 10).unwrap();
-    let quad_saturn = solve_cycles(saturn, 10).unwrap();
-    let small_speedup = rocket.result.total_cycles as f64 / v.result.total_cycles as f64;
-    let quad_speedup =
-        quad_rocket.result.total_cycles as f64 / quad_saturn.result.total_cycles as f64;
+    let quad_rocket = hover(&Platform::rocket_eigen(), 10);
+    let quad_saturn = hover(saturn, 10);
+    let small_speedup = rocket.total_cycles as f64 / v.total_cycles as f64;
+    let quad_speedup = quad_rocket.total_cycles as f64 / quad_saturn.total_cycles as f64;
     assert!(
         small_speedup < quad_speedup,
         "cartpole speedup {small_speedup:.2} should trail quadrotor {quad_speedup:.2}"

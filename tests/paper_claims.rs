@@ -3,7 +3,8 @@
 
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::experiments::{
-    pareto_frontier, solve_cycles, speedup_heatmap, table1, KernelShape, Residency,
+    pareto_frontier, solve_scenario_summary, speedup_heatmap_with, table1_with, KernelShape,
+    Residency, Scenario, SerialSource,
 };
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_dse::workloads;
@@ -23,7 +24,7 @@ fn pareto_frontier_matches_paper() {
     // registered beyond the paper's Table I. Figure 20 is a claim about
     // the paper's design points, so exclude the extension here; its own
     // frontier placement is asserted separately below.
-    let mut rows = table1(10).expect("table 1");
+    let mut rows = table1_with(&SerialSource, &Scenario::hover(), 10).expect("table 1");
     rows.retain(|r| r.name != "OSGemminiShuttle32KB");
     rows.sort_by(|a, b| a.area_um2.total_cmp(&b.area_um2));
     let frontier = pareto_frontier(
@@ -58,7 +59,7 @@ fn shuttle_gemmini_extension_joins_the_frontier() {
     // frontend trims the RoCC command-construction overhead, so it
     // solves slightly faster than the Rocket-driven mesh at larger area
     // and lands on the combined frontier between the two.
-    let mut rows = table1(10).expect("table 1");
+    let mut rows = table1_with(&SerialSource, &Scenario::hover(), 10).expect("table 1");
     rows.sort_by(|a, b| a.area_um2.total_cmp(&b.area_um2));
     let shuttle = cycles_of("OSGemminiShuttle32KB", &rows);
     let rocket = cycles_of("OSGemminiRocket32KB", &rows);
@@ -83,7 +84,7 @@ fn shuttle_gemmini_extension_joins_the_frontier() {
 
 #[test]
 fn table1_orderings_hold() {
-    let rows = table1(10).expect("table 1");
+    let rows = table1_with(&SerialSource, &Scenario::hover(), 10).expect("table 1");
     // The BOOM family scales monotonically but stays above (worse than)
     // every accelerated design.
     let rocket = cycles_of("Rocket", &rows);
@@ -134,12 +135,14 @@ fn table1_orderings_hold() {
 
 #[test]
 fn end_to_end_speedups_in_paper_band() {
-    let rocket = solve_cycles(&Platform::rocket_eigen(), 10)
-        .unwrap()
-        .result
-        .total_cycles as f64;
+    let cycles = |p: &Platform| {
+        solve_scenario_summary(p, &Scenario::hover(), 10)
+            .unwrap()
+            .total_cycles as f64
+    };
+    let rocket = cycles(&Platform::rocket_eigen());
     let check = |p: Platform, paper: f64| {
-        let c = solve_cycles(&p, 10).unwrap().result.total_cycles as f64;
+        let c = cycles(&p);
         let speedup = rocket / c;
         assert!(
             speedup > paper * 0.6 && speedup < paper * 1.6,
@@ -190,7 +193,8 @@ fn gemv_hardware_extension_story() {
     );
 
     // Figure 8: the extension restores mesh utilization (~6x warm).
-    let f8 = speedup_heatmap(
+    let f8 = speedup_heatmap_with(
+        &SerialSource,
         &ext,
         &plain,
         KernelShape::Gemv,
@@ -205,7 +209,8 @@ fn gemv_hardware_extension_story() {
     );
 
     // Figure 13: Saturn beats the original Gemmini on GEMV (~2.78x).
-    let f13 = speedup_heatmap(
+    let f13 = speedup_heatmap_with(
+        &SerialSource,
         &saturn,
         &plain,
         KernelShape::Gemv,
@@ -216,7 +221,8 @@ fn gemv_hardware_extension_story() {
     assert!(f13.mean() > 1.8, "fig 13 mean {:.2}", f13.mean());
 
     // Figure 14: the extension flips the comparison (~2.34x).
-    let f14 = speedup_heatmap(
+    let f14 = speedup_heatmap_with(
+        &SerialSource,
         &ext,
         &saturn,
         KernelShape::Gemv,
@@ -239,7 +245,8 @@ fn gemm_crossover_matches_figure_15() {
         GemminiConfig::os_4x4_32kb(),
         GemminiOpts::optimized(),
     );
-    let small = speedup_heatmap(
+    let small = speedup_heatmap_with(
+        &SerialSource,
         &saturn,
         &gemmini,
         KernelShape::Gemm,
@@ -247,7 +254,8 @@ fn gemm_crossover_matches_figure_15() {
         &[4, 8],
         &[4, 8],
     );
-    let large = speedup_heatmap(
+    let large = speedup_heatmap_with(
+        &SerialSource,
         &saturn,
         &gemmini,
         KernelShape::Gemm,

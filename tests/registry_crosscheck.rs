@@ -6,7 +6,7 @@
 //! here means the refactored dispatch changed timing semantics, which
 //! the golden diff alone could disguise as an "intentional" regen.
 
-use soc_dse_repro::soc_dse::experiments::solve_cycles;
+use soc_dse_repro::soc_dse::experiments::{solve_scenario_summary, Scenario};
 use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_sweep::SweepSpec;
 use std::path::PathBuf;
@@ -53,9 +53,9 @@ fn table1_golden_rows_match_registry_pricing() {
             .iter()
             .find(|p| p.name == name)
             .unwrap_or_else(|| panic!("golden row `{name}` not in the registry"));
-        let outcome = solve_cycles(platform, 10).unwrap();
+        let summary = solve_scenario_summary(platform, &Scenario::hover(), 10).unwrap();
         assert_eq!(
-            outcome.result.total_cycles, golden_cycles,
+            summary.total_cycles, golden_cycles,
             "{name}: registry pricing disagrees with the golden snapshot"
         );
     }
@@ -73,9 +73,9 @@ fn sweep_smoke_golden_rows_match_registry_pricing() {
             .iter()
             .find(|p| p.name == name)
             .unwrap_or_else(|| panic!("golden row `{name}` not in the smoke spec"));
-        let outcome = solve_cycles(platform, 8).unwrap();
+        let summary = solve_scenario_summary(platform, &Scenario::hover(), 8).unwrap();
         assert_eq!(
-            outcome.result.total_cycles, golden_cycles,
+            summary.total_cycles, golden_cycles,
             "{name}: registry pricing disagrees with the golden snapshot"
         );
     }
