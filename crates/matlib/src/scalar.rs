@@ -24,6 +24,7 @@ pub trait Scalar:
     + MulAssign
     + DivAssign
     + Sum
+    + Send
     + 'static
 {
     /// Additive identity.
@@ -49,6 +50,10 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Whether the value is finite (not NaN or infinite).
     fn is_finite(self) -> bool;
+    /// The IEEE-754 bit pattern, zero-extended to 64 bits. Two values of
+    /// one type with equal patterns are the same value bit for bit,
+    /// signed zeros and NaN payloads included.
+    fn bits(self) -> u64;
     /// Hands one row-major gemv (`y = A·x`, `y.len()` rows of
     /// `x.len()` columns) to a platform-accelerated kernel, returning
     /// `false` — with `y` untouched — when none is available for this
@@ -105,6 +110,10 @@ macro_rules! impl_scalar {
             #[inline]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
+            }
+            #[inline]
+            fn bits(self) -> u64 {
+                u64::from(<$t>::to_bits(self))
             }
             #[inline]
             fn gemv_accel(a: &[Self], x: &[Self], y: &mut [Self]) -> bool {

@@ -69,8 +69,10 @@ pub fn evaluate_closed_loop<T: Scalar>(
     let cones = problem.input_cones.clone();
     let mut solver = AdmmSolver::new(problem, settings)?;
     let mut x = scenario.initial_state::<T>();
-    // Plant-update scratch, allocated once: the per-step loop below runs
-    // solve_in_place + gemv_into and stays allocation-free.
+    // Plant-update scratch, allocated once, so solve_in_place and the
+    // gemv_into plant update below allocate nothing. The loop as a whole
+    // still allocates per step: `Scenario::reference` returns a fresh
+    // `horizon`-knot window, and another one-knot vector for the target.
     let mut ax = vec![T::ZERO; x.len()];
     let mut bu = vec![T::ZERO; x.len()];
 

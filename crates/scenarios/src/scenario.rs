@@ -462,6 +462,37 @@ mod tests {
         }
     }
 
+    /// The Riccati inputs (`A`, `B`, `q_diag`, `r_diag`, `ρ`) as exact
+    /// bits: what `AdmmSolver::new` keys its interned cache on.
+    fn riccati_inputs<T: Scalar>(p: &TinyMpcProblem<T>) -> Vec<u64> {
+        p.a.as_slice()
+            .iter()
+            .chain(p.b.as_slice())
+            .chain(p.q_diag.as_slice())
+            .chain(p.r_diag.as_slice())
+            .chain([&p.rho])
+            .map(|v| v.bits())
+            .collect()
+    }
+
+    fn assert_horizon_independent<T: Scalar>(scenario: &Scenario) {
+        let at = |h| riccati_inputs(&scenario.problem::<T>(h).unwrap());
+        let base = at(5);
+        for h in [10, 15, 20] {
+            assert_eq!(at(h), base, "{} at horizon {h}", scenario.name());
+        }
+    }
+
+    #[test]
+    fn riccati_inputs_do_not_depend_on_the_horizon() {
+        // One interned Riccati cache serves all four horizons of a
+        // sweep only while this holds.
+        for scenario in ScenarioCatalog::standard().scenarios() {
+            assert_horizon_independent::<f32>(scenario);
+            assert_horizon_independent::<f64>(scenario);
+        }
+    }
+
     #[test]
     fn hover_matches_the_legacy_solve_path() {
         // The compat contract: hover's problem, reference and initial

@@ -13,9 +13,9 @@
 //!   so the tick hot path prices kernels without touching the
 //!   interner's locks (and without allocating).
 //! * [`session`] — [`CohortModel`] (one per scenario × platform:
-//!   Riccati cache computed once, flat reference trajectory, rung cost
-//!   vector) and [`Session`] (a warm [`DeadlineSolver`] clone plus
-//!   plant state and scratch — everything one tenant's tick touches).
+//!   prototype solver, flat reference trajectory, rung cost vector)
+//!   and [`Session`] (a warm [`DeadlineSolver`] clone plus plant state
+//!   and scratch — everything one tenant's tick touches).
 //! * [`runtime`] — [`ServeRuntime`]: recurring tick batches on the
 //!   persistent [`soc_sweep::TickExecutor`], with
 //!   [`DegradeRung`]-ladder *cohort shedding* as the admission policy —

@@ -2,15 +2,16 @@
 //!
 //! A **cohort** is every session flying the same workload on the same
 //! platform: one `(scenario, platform, dims)` triple. Everything
-//! expensive is computed once per cohort at admission — the DARE
-//! (Riccati) cache inside the prototype [`DeadlineSolver`], the
-//! [`CachedCosts`] pricing snapshot, the [`RungCosts`] ladder costs,
-//! and the flat reference trajectory. A **session** is one tenant: a
-//! warm clone of the prototype solver (cheap memcpy of the shared
-//! cache), its own plant state, and preallocated scratch. Cloning the
-//! prototype is what lets ten thousand quadrotor sessions share one
-//! Riccati solve and one pricing pass while keeping their warm-start
-//! state private.
+//! expensive is set up once per cohort at admission — the prototype
+//! [`DeadlineSolver`], the [`CachedCosts`] pricing snapshot, the
+//! [`RungCosts`] ladder costs, and the flat reference trajectory. The
+//! prototype's DARE (Riccati) cache comes from `tinympc`'s interner, so
+//! it is solved once per distinct plant per process, not per cohort. A
+//! **session** is one tenant: a warm clone of the prototype solver
+//! (cheap memcpy of the cache), its own plant state, and preallocated
+//! scratch. Cloning the prototype is what lets ten thousand quadrotor
+//! sessions share one Riccati solve and one pricing pass while keeping
+//! their warm-start state private.
 
 use crate::costs::CachedCosts;
 use matlib::rng::SplitMix64;
@@ -43,9 +44,12 @@ pub struct CohortModel {
 }
 
 impl CohortModel {
-    /// Builds a cohort model: plant + DARE cache once, kernel pricing
-    /// once (through the process-wide interner), ladder costs once, and
-    /// the reference trajectory flattened out to `ticks` plant steps.
+    /// Builds a cohort model: the prototype solver, kernel pricing once
+    /// (through `soc_backend`'s interner), ladder costs once, and the
+    /// reference trajectory flattened out to `ticks` plant steps. The
+    /// prototype copies its Riccati cache from `tinympc`'s interner, so
+    /// the DARE runs once per distinct plant per process, not per
+    /// cohort.
     ///
     /// # Errors
     ///

@@ -131,16 +131,19 @@ pub struct AdmmSolver<T> {
 }
 
 impl<T: Scalar> AdmmSolver<T> {
-    /// Creates a solver: validates the problem and computes the Riccati
-    /// cache. The dims specialization ([`SolverDims`]) is selected
-    /// automatically from the problem shape.
+    /// Creates a solver: validates the problem and takes its own copy of
+    /// the Riccati cache. The DARE runs once per distinct plant per
+    /// process (keyed on `A`, `B`, `Q`, `R` and `ρ`, not the horizon);
+    /// later solvers for that plant clone the stored result. The dims
+    /// specialization ([`SolverDims`]) is selected automatically from
+    /// the problem shape.
     ///
     /// # Errors
     ///
     /// Propagates problem-validation and cache-computation failures.
     pub fn new(problem: TinyMpcProblem<T>, settings: SolverSettings) -> Result<Self> {
         problem.validate()?;
-        let cache = TinyMpcCache::compute(&problem)?;
+        let cache = TinyMpcCache::interned(&problem)?;
         let dims = problem.dims();
         let workspace = TinyMpcWorkspace::new(dims.nx, dims.nu, dims.horizon);
         let spec = SolverDims::for_dims(dims.nx, dims.nu);
