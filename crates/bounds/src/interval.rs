@@ -1,24 +1,5 @@
 //! The interval domain the analyzer computes over.
 
-/// Which side of a [`CycleInterval`] an analytical pricer charges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Side {
-    /// Optimistic: price every kernel at its lower bound.
-    Lower,
-    /// Pessimistic: price every kernel at its upper bound.
-    Upper,
-}
-
-impl Side {
-    /// Stable lowercase label for reports and cache keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            Side::Lower => "lower",
-            Side::Upper => "upper",
-        }
-    }
-}
-
 /// A closed integer interval `[lo, hi]` of cycle counts.
 ///
 /// The analyzer's contract: the trace-simulated cycle count always lies
@@ -63,14 +44,6 @@ impl CycleInterval {
     pub fn rel_width(&self) -> f64 {
         self.width() as f64 / self.lo.max(1) as f64
     }
-
-    /// The bound a pricer on the given [`Side`] charges.
-    pub fn pick(&self, side: Side) -> u64 {
-        match side {
-            Side::Lower => self.lo,
-            Side::Upper => self.hi,
-        }
-    }
 }
 
 impl std::fmt::Display for CycleInterval {
@@ -92,8 +65,6 @@ mod tests {
         let i = CycleInterval::new(10, 14);
         assert!(i.contains(10) && i.contains(14) && !i.contains(15));
         assert_eq!(i.width(), 4);
-        assert_eq!(i.pick(Side::Lower), 10);
-        assert_eq!(i.pick(Side::Upper), 14);
         assert!(!i.is_exact());
         assert_eq!(format!("{i}"), "[10, 14]");
         let e = CycleInterval::exact(7);

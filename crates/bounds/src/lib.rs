@@ -3,10 +3,11 @@
 //! A static analyzer that abstract-interprets lowered micro-op programs
 //! to produce per-kernel `[lower, upper]` steady-state cycle intervals
 //! *without materializing or replaying a trace through the simulators*.
-//! It is the second [`soc_dse::experiments::CycleSource`] implementation
-//! behind the `BackendPipeline` seam: the trace simulators answer "how
-//! many cycles did this run take", this crate answers "how many cycles
-//! *can* it take" — and proves the two agree.
+//! It is the cross-check of the trace simulators behind the
+//! `BackendPipeline` seam: they answer "how many cycles did this run
+//! take", this crate answers "how many cycles *can* it take", and
+//! `dse bounds` and the workspace's differential tests hold the two
+//! against each other. Nothing in the sweep or serve paths links it.
 //!
 //! ## The bound lattice
 //!
@@ -40,14 +41,9 @@
 //! measurement: for a trace with a steady-state mark, `steady =
 //! full − head` is bracketed as `[lo_full − hi_head, hi_full − lo_head]`.
 //!
-//! ## Verified analytical pricing
-//!
-//! [`AnalyticalExecutor`] implements [`tinympc::KernelExecutor`] by
-//! pricing each kernel from one side of its interval, and
-//! [`AnalyticalSource`] implements the batch
-//! [`soc_dse::experiments::CycleSource`] seam. Both gate every analyzed
-//! trace through `soc-verify` first — bounds are only claimed for
-//! programs the static verifier accepts.
+//! [`kernel_bounds`] and [`setup_bounds`] gate their traces through
+//! `soc-verify` first: bounds are only claimed for programs the static
+//! verifier accepts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,9 +53,6 @@ mod interval;
 mod machine;
 mod source;
 
-pub use interval::{CycleInterval, Side};
+pub use interval::CycleInterval;
 pub use machine::{steady_bounds, trace_bounds};
-pub use source::{
-    analytical_solve, kernel_bounds, setup_bounds, solve_bounds, standalone_bounds,
-    AnalyticalExecutor, AnalyticalSource,
-};
+pub use source::{kernel_bounds, setup_bounds, standalone_bounds};

@@ -6,10 +6,9 @@
 //! ```text
 //! <32-hex-digit key>.entry
 //!   line 1: soc-sweep-cache v2        (format magic + version)
-//!   line 2: kind solve | kind kernel | kind solve-bounds
+//!   line 2: kind solve | kind kernel
 //!   solve:  total_cycles / iterations / converged / kernels k=v,k=v,...
 //!   kernel: cycles N
-//!   solve-bounds: lo N / hi N
 //!   last:   checksum <16-hex>         (FNV-1a over everything above)
 //! ```
 //!
@@ -55,7 +54,6 @@ pub struct SweepCache {
     dir: Option<PathBuf>,
     solves: HashMap<Key, tinympc::Result<SolveSummary>>,
     kernels: HashMap<Key, u64>,
-    bounds: HashMap<Key, tinympc::Result<(u64, u64)>>,
     corrupt_entries: usize,
 }
 
@@ -92,7 +90,7 @@ impl SweepCache {
 
     /// Number of entries resident in memory.
     pub fn len(&self) -> usize {
-        self.solves.len() + self.kernels.len() + self.bounds.len()
+        self.solves.len() + self.kernels.len()
     }
 
     /// On-disk entries that failed their checksum or body parse (torn
@@ -139,25 +137,6 @@ impl SweepCache {
     pub fn put_kernel(&mut self, key: Key, cycles: u64) {
         self.write_entry(&key, &render_kernel(cycles));
         self.kernels.insert(key, cycles);
-    }
-
-    /// Probes for an analytical solve-bounds interval `(lo, hi)`.
-    pub fn get_bounds(&mut self, key: &Key) -> Option<(tinympc::Result<(u64, u64)>, HitLevel)> {
-        if let Some(v) = self.bounds.get(key) {
-            return Some((v.clone(), HitLevel::Memory));
-        }
-        let interval = self.read_entry(key, parse_bounds)?;
-        self.bounds.insert(*key, Ok(interval));
-        Some((Ok(interval), HitLevel::Disk))
-    }
-
-    /// Stores an analytical solve-bounds interval in memory, and on disk
-    /// when `Ok`.
-    pub fn put_bounds(&mut self, key: Key, value: &tinympc::Result<(u64, u64)>) {
-        if let Ok((lo, hi)) = value {
-            self.write_entry(&key, &render_bounds(*lo, *hi));
-        }
-        self.bounds.insert(key, value.clone());
     }
 
     fn entry_path(&self, key: &Key) -> Option<PathBuf> {
@@ -282,10 +261,6 @@ fn render_kernel(cycles: u64) -> String {
     format!("{MAGIC}\nkind kernel\ncycles {cycles}\n")
 }
 
-fn render_bounds(lo: u64, hi: u64) -> String {
-    format!("{MAGIC}\nkind solve-bounds\nlo {lo}\nhi {hi}\n")
-}
-
 fn field<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Option<&'a str> {
     lines.next()?.strip_prefix(name)?.strip_prefix(' ')
 }
@@ -331,16 +306,6 @@ fn parse_kernel(text: &str) -> Option<u64> {
         return None;
     }
     field(&mut lines, "cycles")?.parse().ok()
-}
-
-fn parse_bounds(text: &str) -> Option<(u64, u64)> {
-    let mut lines = text.lines();
-    if lines.next()? != MAGIC || lines.next()? != "kind solve-bounds" {
-        return None;
-    }
-    let lo: u64 = field(&mut lines, "lo")?.parse().ok()?;
-    let hi: u64 = field(&mut lines, "hi")?.parse().ok()?;
-    (lo <= hi).then_some((lo, hi))
 }
 
 #[cfg(test)]
@@ -392,18 +357,6 @@ mod tests {
     #[test]
     fn kernel_round_trips_through_text() {
         assert_eq!(parse_kernel(&render_kernel(40_961)), Some(40_961));
-    }
-
-    #[test]
-    fn bounds_round_trip_through_text() {
-        assert_eq!(parse_bounds(&render_bounds(100, 140)), Some((100, 140)));
-        assert_eq!(parse_bounds(&render_bounds(7, 7)), Some((7, 7)));
-        assert_eq!(
-            parse_bounds("soc-sweep-cache v2\nkind solve-bounds\nlo 9\nhi 3\n"),
-            None,
-            "inverted intervals are rejected"
-        );
-        assert_eq!(parse_bounds(&render_kernel(9)), None);
     }
 
     #[test]
@@ -510,29 +463,30 @@ mod tests {
     }
 
     #[test]
-    fn bounds_disk_tier_round_trips_and_skips_errors() {
-        let dir = std::env::temp_dir().join(format!("soc-sweep-bounds-{}", std::process::id()));
+    fn solve_disk_tier_round_trips_and_skips_errors() {
+        let dir = std::env::temp_dir().join(format!("soc-sweep-errs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let key = key_of("bounds entry");
+        let key = key_of("solve entry");
 
         let mut writer = SweepCache::with_dir(&dir).unwrap();
-        writer.put_bounds(key, &Ok((1_000, 1_250)));
-        writer.put_bounds(
-            key_of("failed bounds"),
+        writer.put_solve(key, &Ok(summary()));
+        writer.put_solve(
+            key_of("failed solve"),
             &Err(tinympc::Error::CorruptedWorkspace {
                 what: "synthetic".into(),
             }),
         );
+        assert!(writer.get_solve(&key_of("failed solve")).is_some());
 
         let mut reader = SweepCache::with_dir(&dir).unwrap();
-        let (got, level) = reader.get_bounds(&key).unwrap();
-        assert_eq!(got.unwrap(), (1_000, 1_250));
+        let (got, level) = reader.get_solve(&key).unwrap();
+        assert_eq!(got.unwrap(), summary());
         assert_eq!(level, HitLevel::Disk);
-        assert_eq!(reader.get_bounds(&key).unwrap().1, HitLevel::Memory);
+        assert_eq!(reader.get_solve(&key).unwrap().1, HitLevel::Memory);
         assert_eq!(
-            reader.get_bounds(&key_of("failed bounds")),
+            reader.get_solve(&key_of("failed solve")),
             None,
-            "errored bounds are never persisted"
+            "errored solves are never persisted"
         );
 
         let _ = std::fs::remove_dir_all(&dir);

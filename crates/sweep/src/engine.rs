@@ -33,7 +33,7 @@
 //! [`SerialSource`]: soc_dse::experiments::SerialSource
 
 use crate::cache::{HitLevel, SweepCache};
-use crate::key::{bounds_key, kernel_key, solve_key, Key};
+use crate::key::{kernel_key, solve_key, Key};
 use crate::pool::{run_sharded_isolated, RetryPolicy, ShardFailure, ShardStats};
 use soc_dse::experiments::{
     solve_scenario_summary, standalone_kernel, CycleSource, KernelRequest, SolveRequest,
@@ -287,21 +287,6 @@ impl SweepEngine {
         });
     }
 
-    /// Analytical `[lo, hi]` solve-cycle bounds for each request, memoized
-    /// under the `solve-bounds` cache kind. Runs the `soc-bounds` abstract
-    /// interpreter twice per miss (once per interval side) instead of the
-    /// trace simulator; results never alias trace-priced totals.
-    pub fn bounds_batch(&self, requests: &[SolveRequest]) -> Vec<tinympc::Result<(u64, u64)>> {
-        self.batch(
-            requests,
-            bounds_key,
-            SweepCache::get_bounds,
-            |cache, key, value| cache.put_bounds(key, value),
-            |r| soc_bounds::solve_bounds(&r.platform, &r.scenario, r.horizon).map(|i| (i.lo, i.hi)),
-            |failure| Err(shard_failed(failure)),
-        )
-    }
-
     /// Locks the engine state, recovering from a poisoned mutex. The
     /// inner state is only ever mutated in short, self-contained
     /// critical sections (probe accounting, cache commit), each of
@@ -323,8 +308,8 @@ impl SweepEngine {
     /// The three-phase batch described in the module docs, generic over
     /// the work kinds. `on_fail` converts an exhausted-retry
     /// [`ShardFailure`] into the value domain (an `Err` slot for solve
-    /// and bounds work; a panic for kernel work, whose `u64` channel
-    /// has no error representation).
+    /// work; a panic for kernel work, whose `u64` channel has no error
+    /// representation).
     fn batch<Req, V>(
         &self,
         requests: &[Req],

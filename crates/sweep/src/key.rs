@@ -89,26 +89,9 @@ pub fn kernel_serialization(request: &KernelRequest) -> String {
     )
 }
 
-/// Stable serialization of an analytical solve-bounds request. A
-/// distinct kind tag keeps bound intervals and trace-priced totals from
-/// ever aliasing, even for the same platform and horizon.
-pub fn bounds_serialization(request: &SolveRequest) -> String {
-    format!(
-        "soc-sweep v{CACHE_VERSION}|solve-bounds|{}|scenario={}|horizon={}",
-        request.platform.cache_id(),
-        request.scenario.cache_id(),
-        request.horizon
-    )
-}
-
 /// Key of a solve request.
 pub fn solve_key(request: &SolveRequest) -> Key {
     key_of(&solve_serialization(request))
-}
-
-/// Key of an analytical solve-bounds request.
-pub fn bounds_key(request: &SolveRequest) -> Key {
-    key_of(&bounds_serialization(request))
 }
 
 /// Key of a standalone-kernel request.
@@ -184,8 +167,7 @@ mod tests {
         use soc_dse::experiments::ScenarioCatalog;
         let platform = Platform::rocket_eigen();
         // Every catalog scenario (and a random-family member) must key
-        // distinctly at the same platform and horizon, for both solve
-        // and bounds kinds.
+        // distinctly at the same platform and horizon.
         let mut scenarios = ScenarioCatalog::standard().into_scenarios();
         scenarios.push(Scenario::random_stable_plant(8, 3, 7));
         scenarios.push(Scenario::random_stable_plant(8, 3, 8));
@@ -204,16 +186,6 @@ mod tests {
                 );
             }
         }
-        let hover = SolveRequest::new(platform.clone(), Scenario::hover(), 10);
-        let fig8 = SolveRequest::new(platform, Scenario::figure8(), 10);
-        assert_ne!(bounds_key(&hover), bounds_key(&fig8));
-    }
-
-    #[test]
-    fn bounds_keys_never_alias_solve_keys() {
-        let req = solve_req(10);
-        assert_ne!(solve_key(&req), bounds_key(&req));
-        assert_ne!(bounds_key(&req), bounds_key(&solve_req(11)));
     }
 
     #[test]

@@ -17,20 +17,15 @@ use soc_dse::experiments::{
 use soc_dse::report::{heatmap_text, markdown_table};
 use tinympc::SolverSettings;
 
-/// Which pricing tier drives a sweep's end-to-end solve search.
+/// The pricing tier of a sweep. Trace simulation is the only one.
+///
+/// Kept, with [`run_sweep_tiered`], because the frozen `soc-perf`
+/// benchmark names both; a benchmark change drops them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepTier {
-    /// Trace simulation prices every point (the reference path).
+    /// Trace simulation prices every point.
     #[default]
     Trace,
-    /// Analytical bounds run first: points whose `[lo, hi]` interval is
-    /// strictly dominated are marked prunable, then **every** point is
-    /// still trace-priced, each total is checked against its interval,
-    /// and the frontier over the surviving candidates is asserted equal
-    /// to the all-points frontier. The report body stays byte-identical
-    /// to [`SweepTier::Trace`]; the tier's accounting goes to
-    /// [`SweepReport::tier_summary`] (stderr).
-    Analytical,
 }
 
 /// The rendered outcome of one sweep pass.
@@ -51,11 +46,6 @@ pub struct SweepReport {
     pub failed_points: usize,
     /// Fault-recovery accounting for the pass (stderr only).
     pub faults: FaultStats,
-    /// Analytical-tier accounting (pruning, containment, frontier
-    /// confirmation), present only for [`SweepTier::Analytical`]. Kept
-    /// out of [`SweepReport::render`] so the body stays byte-identical
-    /// across tiers; print it to stderr.
-    pub tier_summary: Option<String>,
 }
 
 impl SweepReport {
@@ -81,33 +71,14 @@ impl SweepReport {
 }
 
 /// Runs every work item of `spec` through `engine` and assembles the
-/// report, trace-pricing everything (the reference tier).
+/// report. The engine's stats are reset at entry so the report accounts
+/// for exactly this pass — a `--warm` second pass therefore shows the
+/// warm hit rate, not a blend.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
 pub fn run_sweep(spec: &SweepSpec, engine: &SweepEngine) -> tinympc::Result<SweepReport> {
-    run_sweep_tiered(spec, engine, SweepTier::Trace)
-}
-
-/// Runs every work item of `spec` through `engine` under the given
-/// pricing tier and assembles the report. The engine's stats are reset
-/// at entry (and between the analytical and trace passes) so the report
-/// accounts for exactly the trace pass — a `--warm` second pass
-/// therefore shows the warm hit rate, not a blend, and the rendered body
-/// is byte-identical across tiers.
-///
-/// # Errors
-///
-/// Propagates solver failures; under [`SweepTier::Analytical`] also
-/// [`tinympc::Error::AnalysisMismatch`] when a trace-priced total falls
-/// outside its analytical interval or bounds-pruning would have changed
-/// the Pareto frontier.
-pub fn run_sweep_tiered(
-    spec: &SweepSpec,
-    engine: &SweepEngine,
-    tier: SweepTier,
-) -> tinympc::Result<SweepReport> {
     // All end-to-end solves of the whole spec go down as ONE batch so
     // the shard pool can balance across horizons and platforms.
     let requests: Vec<SolveRequest> = spec
@@ -119,21 +90,6 @@ pub fn run_sweep_tiered(
                 .map(move |p| SolveRequest::new(p.clone(), spec.scenario.clone(), horizon))
         })
         .collect();
-
-    // Analytical pre-pass: price the whole grid as intervals first. Its
-    // cache accounting is snapshotted separately so the trace pass below
-    // reports exactly what the trace-only tier would.
-    let analytical = match tier {
-        SweepTier::Trace => None,
-        SweepTier::Analytical => {
-            engine.reset_stats();
-            let intervals: Vec<(u64, u64)> = engine
-                .bounds_batch(&requests)
-                .into_iter()
-                .collect::<tinympc::Result<_>>()?;
-            Some((intervals, engine.stats()))
-        }
-    };
 
     engine.reset_stats();
     let mut body = format!(
@@ -278,16 +234,6 @@ pub fn run_sweep_tiered(
         body.push('\n');
     }
 
-    let tier_summary = match analytical {
-        None => None,
-        Some((intervals, bounds_stats)) => Some(confirm_analytical_tier(
-            spec,
-            &intervals,
-            &summaries,
-            &bounds_stats,
-        )?),
-    };
-
     Ok(SweepReport {
         body,
         stats: engine.stats(),
@@ -295,104 +241,21 @@ pub fn run_sweep_tiered(
         jobs: engine.jobs(),
         failed_points,
         faults: engine.fault_stats(),
-        tier_summary,
     })
 }
 
-/// The analytical tier's confirmation pass: check every trace-priced
-/// total against its interval, replay the bounds-only pruning decision,
-/// and assert the frontier over the surviving candidates matches the
-/// all-points frontier exactly.
-fn confirm_analytical_tier(
+/// [`run_sweep`] under a [`SweepTier`]. Kept because the frozen
+/// `soc-perf` benchmark calls it; a benchmark change drops it.
+///
+/// # Errors
+///
+/// Propagates solver failures.
+pub fn run_sweep_tiered(
     spec: &SweepSpec,
-    intervals: &[(u64, u64)],
-    summaries: &[Option<SolveSummary>],
-    bounds_stats: &EngineStats,
-) -> tinympc::Result<String> {
-    let mut out = String::from("tier analytical:\n");
-    for (h_idx, &horizon) in spec.horizons.iter().enumerate() {
-        let base = h_idx * spec.platforms.len();
-        // (name, area, lo, hi, trace-priced cycles) per design point.
-        // Points whose trace pricing failed (isolated shard failure)
-        // carry no total and are excluded from containment and
-        // frontier confirmation — noted in the summary line.
-        let mut failed = 0usize;
-        let points: Vec<(&str, f64, u64, u64, u64)> = spec
-            .platforms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                let (lo, hi) = intervals[base + i];
-                match &summaries[base + i] {
-                    Some(s) => Some((p.name.as_str(), p.area().total(), lo, hi, s.total_cycles)),
-                    None => {
-                        failed += 1;
-                        None
-                    }
-                }
-            })
-            .collect();
-
-        for &(name, _, lo, hi, cycles) in &points {
-            if !(lo <= cycles && cycles <= hi) {
-                return Err(tinympc::Error::AnalysisMismatch {
-                    what: format!(
-                        "{name} @ horizon {horizon}: trace-priced {cycles} cycles \
-                         outside analytical bounds [{lo}, {hi}]"
-                    ),
-                });
-            }
-        }
-
-        // A point is prunable when some interval beats its best case
-        // outright at no area cost: upper_q < lower_p with area_q <=
-        // area_p guarantees domination whatever the true cycle counts.
-        let prunable: Vec<bool> = points
-            .iter()
-            .map(|p| points.iter().any(|q| q.1 <= p.1 && q.3 < p.2))
-            .collect();
-        let pruned = prunable.iter().filter(|&&x| x).count();
-
-        let frontier_names = |keep: &dyn Fn(usize) -> bool| -> Vec<&str> {
-            let mut kept: Vec<&(&str, f64, u64, u64, u64)> = points
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| keep(*i))
-                .map(|(_, p)| p)
-                .collect();
-            kept.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let coords: Vec<(f64, f64)> = kept.iter().map(|p| (p.1, p.4 as f64)).collect();
-            kept.iter()
-                .zip(pareto_frontier(&coords))
-                .filter(|(_, on)| *on)
-                .map(|(p, _)| p.0)
-                .collect()
-        };
-        let full = frontier_names(&|_| true);
-        let candidates = frontier_names(&|i| !prunable[i]);
-        if full != candidates {
-            return Err(tinympc::Error::AnalysisMismatch {
-                what: format!(
-                    "horizon {horizon}: frontier over bounds-pruned candidates \
-                     {candidates:?} differs from all-points frontier {full:?}"
-                ),
-            });
-        }
-
-        out.push_str(&format!(
-            "  horizon {horizon}: {} points, {pruned} pruned by bounds, \
-             all totals within bounds, frontier confirmed ({} points)\n",
-            points.len(),
-            full.len()
-        ));
-        if failed > 0 {
-            out.push_str(&format!(
-                "  horizon {horizon}: {failed} FAILED point(s) excluded from confirmation\n"
-            ));
-        }
-    }
-    out.push_str(&format!("  bounds {}\n", bounds_stats.render_line()));
-    Ok(out)
+    engine: &SweepEngine,
+    _tier: SweepTier,
+) -> tinympc::Result<SweepReport> {
+    run_sweep(spec, engine)
 }
 
 #[cfg(test)]
@@ -424,33 +287,6 @@ mod tests {
         assert_eq!(warm.stats.misses, 0, "zero regenerations");
         assert!((warm.stats.hit_rate_percent() - 100.0).abs() < 1e-12);
         assert!(warm.render().contains("hit rate 100.0%"));
-    }
-
-    #[test]
-    fn analytical_tier_report_is_byte_identical_to_trace_tier() {
-        let spec = SweepSpec::smoke();
-        let reference = run_sweep(&spec, &SweepEngine::in_memory(2))
-            .unwrap()
-            .render();
-        let tiered =
-            run_sweep_tiered(&spec, &SweepEngine::in_memory(2), SweepTier::Analytical).unwrap();
-        assert_eq!(
-            tiered.render(),
-            reference,
-            "tiering must not leak into the body"
-        );
-        let summary = tiered
-            .tier_summary
-            .expect("analytical tier reports a summary");
-        assert!(summary.starts_with("tier analytical:"), "{summary}");
-        assert!(summary.contains("frontier confirmed"), "{summary}");
-        assert!(summary.contains("all totals within bounds"), "{summary}");
-    }
-
-    #[test]
-    fn trace_tier_has_no_tier_summary() {
-        let report = run_sweep(&SweepSpec::smoke(), &SweepEngine::in_memory(2)).unwrap();
-        assert!(report.tier_summary.is_none());
     }
 
     #[test]

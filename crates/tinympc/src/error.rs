@@ -30,14 +30,6 @@ pub enum Error {
         /// Description of the violated invariant.
         what: String,
     },
-    /// A static-analysis claim failed to hold against trace simulation —
-    /// an analytical cycle bound excluded the simulated count, or a
-    /// bounds-pruned sweep produced a different Pareto frontier than the
-    /// trace-priced reference.
-    AnalysisMismatch {
-        /// Description of the violated claim.
-        what: String,
-    },
     /// A sweep work item panicked on every attempt of its retry budget.
     /// The surrounding batch still completes: the failed item surfaces
     /// as this error in its result slot (and as a `FAILED` row in the
@@ -71,9 +63,6 @@ impl fmt::Display for Error {
             Error::CorruptedWorkspace { what } => {
                 write!(f, "solver workspace corrupted: {what}")
             }
-            Error::AnalysisMismatch { what } => {
-                write!(f, "static analysis mismatch: {what}")
-            }
             Error::ShardFailed {
                 item,
                 attempts,
@@ -98,7 +87,6 @@ impl std::error::Error for Error {
             Error::BadProblem { .. }
             | Error::InvalidTrace { .. }
             | Error::CorruptedWorkspace { .. }
-            | Error::AnalysisMismatch { .. }
             | Error::ShardFailed { .. }
             | Error::Campaign { .. } => None,
         }

@@ -25,10 +25,10 @@ use soc_dse_repro::soc_dse::verify::{shipped_configurations, verify_platform};
 use soc_dse_repro::soc_faults::{recoverable_strikes, run_campaign, run_chaos, CampaignKind};
 use soc_dse_repro::soc_gemmini::GemminiConfig;
 use soc_dse_repro::soc_serve::{run_bench, BenchConfig};
-use soc_dse_repro::soc_sweep::{run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
+use soc_dse_repro::soc_sweep::{run_sweep, SweepEngine, SweepSpec};
 use soc_dse_repro::soc_vector::SaturnConfig;
 use soc_dse_repro::soc_verify::Severity;
-use soc_dse_repro::tinympc::{KernelId, ProblemDims};
+use soc_dse_repro::tinympc::{problems::quadrotor_hover, KernelId, ProblemDims};
 
 const USAGE: &str = "\
 dse — embedded-SoC design-space exploration for real-time optimal control
@@ -50,20 +50,15 @@ COMMANDS:
             [--no-cache]       engine; --smoke selects the seconds-scale
             [--warm]           CI spec, --no-cache disables the on-disk
             [--cache-dir DIR]  tier, --warm runs the spec twice and
-            [--tier KIND]      reports the warm pass (100% hit rate).
-            [--chaos-seed N]   --tier analytical prices the solve grid
-            [--scenario NAME]  with static cycle bounds first, prunes
-                               dominated points, then confirms by trace
-                               (KIND: trace|analytical, default trace).
-                               --chaos-seed injects seeded recoverable
+            [--chaos-seed N]   reports the warm pass (100% hit rate).
+            [--scenario NAME]  --chaos-seed injects seeded recoverable
                                worker panics (the report must not change).
                                --scenario sweeps a different workload
                                than hover (see `dse scenarios`); the
                                report adds a closed-loop tracking-error
                                section per horizon. Report on stdout is
-                               byte-identical for every --jobs and tier;
-                               shard timing, tier and fault accounting
-                               go to stderr
+                               byte-identical for every --jobs; shard
+                               timing and fault accounting go to stderr
     bounds  [--horizon N]      Static cycle-bound analysis: abstract-
             [--json]           interpret every back-end's kernel programs
                                into [lower, upper] steady-state intervals
@@ -111,8 +106,8 @@ COMMANDS:
     chaos   [--seed N]         Seeded chaos campaign against the platform
             [--smoke]          itself: worker panics, cache corruption,
                                lock poisoning and slow items injected into
-                               the sweep/bounds/faults execution paths,
-                               each trial classified recovered / degraded
+                               the sweep/faults execution paths, each
+                               trial classified recovered / degraded
                                / aborted (seed default 7); --smoke trims
                                the jobs grid for CI and exits non-zero on
                                any aborted trial
@@ -132,6 +127,23 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Checks a command's arguments (after the command name) against the
+/// value flags and switches it reads: anything else, or a value flag
+/// without a value, is an error rather than a silent default.
+fn check_args(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg.as_str()) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("`{arg}` needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unexpected argument `{arg}`"));
+        }
+    }
+    Ok(())
 }
 
 /// Minimal JSON string escaping for the hand-rolled `--json` outputs
@@ -203,6 +215,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "list" => {
+            check_args(args, &[], &[])?;
             let rows: Vec<Vec<String>> = Platform::table1_registry()
                 .iter()
                 .map(|p| vec![p.name.clone(), format!("{:.3} mm^2", p.area().total_mm2())])
@@ -211,6 +224,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "backends" => {
+            check_args(args, &[], &[])?;
             let rows: Vec<Vec<String>> = Platform::table1_registry()
                 .iter()
                 .map(|p| {
@@ -230,6 +244,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "scenarios" => {
+            check_args(args, &[], &[])?;
             let rows: Vec<Vec<String>> = ScenarioCatalog::standard()
                 .scenarios()
                 .iter()
@@ -260,6 +275,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "table1" => {
+            check_args(args, &["--scenario"], &[])?;
             let scenario = find_scenario(args)?;
             let engine = SweepEngine::in_memory(default_jobs());
             let rows = table1_with(&engine, &scenario, 10).map_err(|e| e.to_string())?;
@@ -289,6 +305,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "pareto" => {
+            check_args(args, &[], &[])?;
             let mut rows = table1_rows()?;
             rows.sort_by(|a, b| a.area_um2.total_cmp(&b.area_um2));
             let frontier = pareto_frontier(
@@ -310,6 +327,11 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "sweep" => {
+            check_args(
+                args,
+                &["--jobs", "--cache-dir", "--chaos-seed", "--scenario"],
+                &["--smoke", "--no-cache", "--warm"],
+            )?;
             let jobs: usize = flag(args, "--jobs")
                 .map(|j| j.parse().map_err(|_| format!("bad job count `{j}`")))
                 .transpose()?
@@ -321,11 +343,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 SweepSpec::full()
             }
             .with_scenario(find_scenario(args)?);
-            let tier = match flag(args, "--tier").as_deref() {
-                None | Some("trace") => SweepTier::Trace,
-                Some("analytical") => SweepTier::Analytical,
-                Some(other) => return Err(format!("unknown tier `{other}`")),
-            };
             let mut engine = if args.iter().any(|a| a == "--no-cache") {
                 SweepEngine::in_memory(jobs)
             } else {
@@ -341,17 +358,14 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|_| format!("bad chaos seed `{chaos_seed}`"))?;
                 engine = engine.with_chaos(recoverable_strikes(chaos_seed));
             }
-            let mut report = run_sweep_tiered(&spec, &engine, tier).map_err(|e| e.to_string())?;
+            let mut report = run_sweep(&spec, &engine).map_err(|e| e.to_string())?;
             if args.iter().any(|a| a == "--warm") {
                 // Second pass over the warm engine: identical results,
                 // zero regenerations. The report shows the warm pass.
-                report = run_sweep_tiered(&spec, &engine, tier).map_err(|e| e.to_string())?;
+                report = run_sweep(&spec, &engine).map_err(|e| e.to_string())?;
             }
             print!("{}", report.render());
             eprint!("{}", report.render_timing());
-            if let Some(summary) = &report.tier_summary {
-                eprint!("{summary}");
-            }
             if !report.faults.is_clean() {
                 eprintln!("{}", report.faults.render_line());
             }
@@ -377,6 +391,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "chaos" => {
+            check_args(args, &["--seed"], &["--smoke"])?;
             let seed: u64 = flag(args, "--seed")
                 .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
                 .transpose()?
@@ -396,16 +411,17 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "bounds" => {
+            check_args(args, &["--horizon"], &["--json"])?;
             let horizon: usize = flag(args, "--horizon")
                 .map(|h| h.parse().map_err(|_| format!("bad horizon `{h}`")))
                 .transpose()?
                 .unwrap_or(10);
             let json = args.iter().any(|a| a == "--json");
-            let dims = ProblemDims {
-                nx: 12,
-                nu: 4,
-                horizon,
-            };
+            // The quadrotor's kernel dims, validated like `dse solve`'s
+            // problem (a horizon below 2 has no input trajectory).
+            let dims = quadrotor_hover::<f32>(horizon)
+                .map_err(|e| e.to_string())?
+                .dims();
 
             struct BackendBounds {
                 name: String,
@@ -538,6 +554,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "energy" => {
+            check_args(args, &[], &[])?;
             let params = EnergyParams::default();
             let rows: Vec<Vec<String>> = Platform::table1_registry()
                 .iter()
@@ -557,6 +574,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "solve" => {
+            check_args(args, &["--platform", "--horizon"], &[])?;
             let name = flag(args, "--platform").ok_or("solve requires --platform NAME")?;
             let horizon: usize = flag(args, "--horizon")
                 .map(|h| h.parse().map_err(|_| format!("bad horizon `{h}`")))
@@ -576,6 +594,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "kernels" => {
+            check_args(args, &["--platform"], &[])?;
             let name = flag(args, "--platform").ok_or("kernels requires --platform NAME")?;
             let platform = find_platform(&name)?;
             let breakdown = solve_scenario_summary(&platform, &Scenario::hover(), 10)
@@ -596,6 +615,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "verify" => {
+            check_args(args, &["--platform"], &["--verbose", "--strict", "--json"])?;
             let dims = ProblemDims {
                 nx: 12,
                 nu: 4,
@@ -712,6 +732,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "faults" => {
+            check_args(args, &["--seed", "--campaign", "--scenario"], &["--smoke"])?;
             let seed: u64 = flag(args, "--seed")
                 .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
                 .transpose()?
@@ -738,6 +759,11 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "serve" | "bench-serve" => {
+            check_args(
+                args,
+                &["--sessions", "--ticks", "--seed", "--workers"],
+                &["--smoke"],
+            )?;
             let artifacts = command == "bench-serve";
             let smoke = args.iter().any(|a| a == "--smoke");
             let mut cfg = BenchConfig::new(default_jobs());
@@ -798,6 +824,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "tune" => {
+            check_args(args, &["--target"], &[])?;
             let target = flag(args, "--target").ok_or("tune requires --target KIND")?;
             let space = match target.as_str() {
                 "rocket" => TuningSpace::scalar(CoreConfig::rocket()),

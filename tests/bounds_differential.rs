@@ -15,19 +15,20 @@
 //!   bound may clamp degenerately on short kernels; soundness, not
 //!   tightness, is the contract there.)
 //! * **Solve level**: with the default solver settings there is no cycle
-//!   budget, so pricing cannot perturb iteration counts and the per-side
-//!   totals of [`solve_bounds`] must bracket the trace-priced total.
-//! * **Sweep tiering**: the analytical tier's report is byte-identical
-//!   to the trace tier's and its pruning never changes the frontier.
+//!   budget, so pricing cannot perturb iteration counts. A solve costs
+//!   `setup + Σ_k calls_k × price_k`, so the join of the setup interval
+//!   with `Σ_k calls_k × [lo_k, hi_k]` must bracket the trace-priced total.
 
 use soc_dse_repro::soc_backend::{pipeline_for, BoundClaim};
-use soc_dse_repro::soc_bounds::{kernel_bounds, setup_bounds, solve_bounds, standalone_bounds};
+use soc_dse_repro::soc_bounds::{kernel_bounds, setup_bounds, standalone_bounds, CycleInterval};
 use soc_dse_repro::soc_dse::experiments::{
     solve_scenario_summary, KernelShape, Residency, Scenario,
 };
 use soc_dse_repro::soc_dse::platform::Platform;
-use soc_dse_repro::soc_sweep::{run_sweep, run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
-use soc_dse_repro::tinympc::{KernelId, ProblemDims};
+use soc_dse_repro::soc_sweep::SweepSpec;
+use soc_dse_repro::tinympc::{
+    KernelCycles, KernelExecutor, KernelId, ProblemDims, Result, SolverSettings,
+};
 
 /// Empirical ceiling (with margin) on `upper / simulated` for
 /// out-of-order backends: observed max is 7x across the registry grid.
@@ -123,10 +124,36 @@ fn standalone_bounds_hold_across_shapes_and_residencies() {
     }
 }
 
+/// Charges one cycle per kernel call and nothing for setup, so a solve's
+/// per-kernel cycle table is its call counts.
+struct UnitPrice;
+
+impl KernelExecutor for UnitPrice {
+    fn name(&self) -> String {
+        "unit price".into()
+    }
+
+    fn kernel_cycles(&mut self, _kernel: KernelId, _dims: &ProblemDims) -> Result<u64> {
+        Ok(1)
+    }
+}
+
+/// Per-kernel call counts of one solve of `scenario` at `horizon`.
+fn call_counts(scenario: &Scenario, horizon: usize) -> KernelCycles {
+    let mut solver = scenario
+        .solver::<f32>(horizon, SolverSettings::default())
+        .unwrap();
+    let x0 = scenario.initial_state::<f32>();
+    solver
+        .solve_in_place(x0.as_slice(), &mut UnitPrice)
+        .unwrap();
+    solver.last_kernel_cycles()
+}
+
 #[test]
 fn solve_bounds_bracket_the_trace_priced_solve() {
     // One platform per family plus one out-of-order point; short horizon
-    // keeps the six end-to-end solves seconds-scale.
+    // keeps the end-to-end solves seconds-scale.
     let spec = SweepSpec::smoke();
     let mut platforms = spec.platforms.clone();
     platforms.push(
@@ -135,9 +162,20 @@ fn solve_bounds_bracket_the_trace_priced_solve() {
             .find(|p| p.name == "SmallBoom")
             .expect("SmallBoom is registered"),
     );
+    let (scenario, horizon) = (Scenario::hover(), 6);
+    let d = dims(horizon);
+    let calls = call_counts(&scenario, horizon);
     for platform in &platforms {
-        let interval = solve_bounds(platform, &Scenario::hover(), 6).unwrap();
-        let simulated = solve_scenario_summary(platform, &Scenario::hover(), 6)
+        let pipeline = pipeline_for(platform);
+        let setup = setup_bounds(pipeline.as_ref(), &d).unwrap();
+        let (mut lo, mut hi) = (setup.lo, setup.hi);
+        for (kernel, n) in calls.iter() {
+            let k = kernel_bounds(pipeline.as_ref(), kernel, &d).unwrap();
+            lo += n * k.lo;
+            hi += n * k.hi;
+        }
+        let interval = CycleInterval::new(lo, hi);
+        let simulated = solve_scenario_summary(platform, &scenario, horizon)
             .unwrap()
             .total_cycles;
         assert!(
@@ -145,7 +183,7 @@ fn solve_bounds_bracket_the_trace_priced_solve() {
             "{}: solve total {simulated} outside {interval}",
             platform.name
         );
-        if pipeline_for(platform).bound_claim() == BoundClaim::Exact {
+        if pipeline.bound_claim() == BoundClaim::Exact {
             assert!(
                 interval.is_exact(),
                 "{}: in-order solve bounds must collapse, got {interval}",
@@ -153,19 +191,4 @@ fn solve_bounds_bracket_the_trace_priced_solve() {
             );
         }
     }
-}
-
-#[test]
-fn analytical_tier_reproduces_the_trace_frontier_byte_for_byte() {
-    let spec = SweepSpec::smoke();
-    let reference = run_sweep(&spec, &SweepEngine::in_memory(2)).unwrap();
-    let tiered =
-        run_sweep_tiered(&spec, &SweepEngine::in_memory(2), SweepTier::Analytical).unwrap();
-    assert_eq!(
-        tiered.render(),
-        reference.render(),
-        "analytical tier must not change the report"
-    );
-    let summary = tiered.tier_summary.expect("tier summary present");
-    assert!(summary.contains("frontier confirmed"), "{summary}");
 }

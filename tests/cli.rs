@@ -63,3 +63,45 @@ fn unknown_command_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
+
+/// Asserts `args` exits 2 with `error: {message}` and the usage text.
+fn rejected(args: &[&str], message: &str) {
+    let out = dse(args);
+    assert_eq!(out.status.code(), Some(2), "dse {args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("error: {message}")),
+        "dse {args:?}: {err}"
+    );
+    assert!(err.contains("USAGE"), "dse {args:?}: {err}");
+    assert!(out.stdout.is_empty(), "dse {args:?} ran anyway");
+}
+
+#[test]
+fn arguments_a_command_does_not_read_are_rejected() {
+    rejected(
+        &["sweep", "--smoke", "--jbos", "4"],
+        "unexpected argument `--jbos`",
+    );
+    rejected(
+        &["sweep", "--tier", "analytical"],
+        "unexpected argument `--tier`",
+    );
+    rejected(&["list", "extra"], "unexpected argument `extra`");
+}
+
+#[test]
+fn value_flags_without_a_value_are_rejected() {
+    rejected(&["chaos", "--seed"], "`--seed` needs a value");
+    rejected(&["chaos", "--seed", "--smoke"], "`--seed` needs a value");
+}
+
+#[test]
+fn bounds_rejects_horizons_below_two() {
+    for h in ["0", "1"] {
+        rejected(
+            &["bounds", "--horizon", h],
+            &format!("invalid problem: horizon must be at least 2, got {h}"),
+        );
+    }
+}
